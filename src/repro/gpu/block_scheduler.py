@@ -120,6 +120,8 @@ class GridEngine:
         self.max_concurrent_grids = max_concurrent_grids
         self.retire_quantum = retire_quantum
         self._pending: List[GridState] = []
+        # Grids in ``_pending`` with resident blocks (outstanding > 0).
+        self._executing = 0
         self._pass_scheduled = False
         # Statistics
         self.grids_completed: int = 0
@@ -191,7 +193,10 @@ class GridEngine:
         self._pass_scheduled = False
         now = self.env.now
         changed = False
-        executing = sum(1 for g in self._pending if g.outstanding > 0)
+        # Pass-local count for the concurrent-grid limit: it starts from
+        # the grids holding blocks and counts only launches placing their
+        # first blocks in this pass.
+        executing = self._executing
         # Fast path: with no free block slot anywhere, no kernel can place.
         free_block_slots = self.smx.free_block_slots
 
@@ -216,11 +221,13 @@ class GridEngine:
             placed = sum(p.nblocks for p in placements)
             if placed == 0:
                 continue
-            if grid.outstanding == 0 and grid.to_place == grid.kernel.num_blocks:
-                # First blocks of this launch.
-                grid.cmd.started.succeed(now)
-                grid.cmd.first_block_time = now
-                executing += 1
+            if grid.outstanding == 0:
+                self._executing += 1
+                if grid.to_place == grid.kernel.num_blocks:
+                    # First blocks of this launch.
+                    grid.cmd.started.stamp(now)
+                    grid.cmd.first_block_time = now
+                    executing += 1
             grid.to_place -= placed
             grid.outstanding += placed
             grid.waves += 1
@@ -261,6 +268,8 @@ class GridEngine:
         def _retire(_e: Event, grid=grid, placements=placements, placed=placed) -> None:
             self.smx.release(grid.kernel, placements)
             grid.outstanding -= placed
+            if grid.outstanding == 0:
+                self._executing -= 1
             if grid.finished:
                 self._finish(grid)
             if self.on_change is not None:

@@ -14,6 +14,10 @@ events that model code and metrics hang off:
     block placed).
 ``done``
     Fully complete (last byte / last thread block retired).
+
+``ready`` and ``started`` are set with :meth:`~repro.sim.events.Event.stamp`:
+nothing in the model waits on them, so they take no calendar entry unless
+a callback was registered before the trigger.
 """
 
 from __future__ import annotations

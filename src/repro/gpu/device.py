@@ -145,7 +145,9 @@ class GPUDevice:
         self.spec = spec or tesla_k20()
         self.trace = trace
         self.smx = SMXArray(self.spec.num_smx, self.spec.smx)
-        self.power = PowerModel(env, self.spec.power)
+        self.power = PowerModel(
+            env, self.spec.power, self.spec.max_resident_threads
+        )
         self.injector = injector
         self.grid_engine = GridEngine(
             env,
@@ -155,25 +157,29 @@ class GPUDevice:
             admission=admission,
             injector=injector,
         )
+        # Direct references keep the per-update power path free of
+        # enum-keyed lookups; ``dma`` is the public by-direction view.
+        self._htod = CopyEngine(
+            env,
+            CopyDirection.HTOD,
+            self.spec.dma_htod,
+            policy=copy_policy,
+            trace=trace,
+            on_change=self._power_changed,
+            injector=injector,
+        )
+        self._dtoh = CopyEngine(
+            env,
+            CopyDirection.DTOH,
+            self.spec.dma_dtoh,
+            policy=copy_policy,
+            trace=trace,
+            on_change=self._power_changed,
+            injector=injector,
+        )
         self.dma = {
-            CopyDirection.HTOD: CopyEngine(
-                env,
-                CopyDirection.HTOD,
-                self.spec.dma_htod,
-                policy=copy_policy,
-                trace=trace,
-                on_change=self._power_changed,
-                injector=injector,
-            ),
-            CopyDirection.DTOH: CopyEngine(
-                env,
-                CopyDirection.DTOH,
-                self.spec.dma_dtoh,
-                policy=copy_policy,
-                trace=trace,
-                on_change=self._power_changed,
-                injector=injector,
-            ),
+            CopyDirection.HTOD: self._htod,
+            CopyDirection.DTOH: self._dtoh,
         }
         self.fabric = QueueFabric(env, self.spec.hardware_queues)
         self.memory = MemoryAllocator(self.spec.global_memory)
@@ -235,7 +241,7 @@ class GPUDevice:
     def _dispatch(self, cmd: Command) -> None:
         """Route a dependency-free command to its engine."""
         now = self.env.now
-        cmd.ready.succeed(now)
+        cmd.ready.stamp(now)
         self._inflight += 1
         sid = cmd.stream_id
         prev = self._stream_inflight.get(sid, 0)
@@ -250,7 +256,7 @@ class GPUDevice:
         elif isinstance(cmd, KernelLaunchCommand):
             self.grid_engine.submit(cmd)
         elif isinstance(cmd, MarkerCommand):
-            cmd.started.succeed(now)
+            cmd.started.stamp(now)
             cmd.done.succeed(now)
         else:  # pragma: no cover - defensive
             raise TypeError(f"cannot dispatch {cmd!r}")
@@ -268,16 +274,24 @@ class GPUDevice:
     # -- power ------------------------------------------------------------------
 
     def _power_changed(self) -> None:
-        dma_busy = (
-            1 if self.dma[CopyDirection.HTOD].busy else 0
-        ) + (1 if self.dma[CopyDirection.DTOH].busy else 0)
         self.power.update(
-            PowerState(
-                occupancy=min(self.smx.thread_occupancy, 1.0),
-                dma_busy=dma_busy,
-                any_active=self._inflight > 0,
-                active_streams=self._active_streams,
-            )
+            self.smx.resident_threads,
+            self._htod.busy + self._dtoh.busy,
+            self._inflight > 0,
+            self._active_streams,
+        )
+
+    def power_state(self) -> PowerState:
+        """The :class:`PowerState` of the live activity counters.
+
+        ``power.evaluate(device.power_state())`` is the reference value of
+        ``power.current_power``; the integrity checker asserts they agree.
+        """
+        return PowerState(
+            occupancy=min(self.smx.thread_occupancy, 1.0),
+            dma_busy=self._htod.busy + self._dtoh.busy,
+            any_active=self._inflight > 0,
+            active_streams=self._active_streams,
         )
 
     # -- global sync ---------------------------------------------------------

@@ -191,7 +191,7 @@ class CopyEngine:
                 if stretch != 1.0:
                     duration *= stretch
             start = env.now
-            cmd.started.succeed(start)
+            cmd.started.stamp(start)
             self.busy = True
             if self.on_change is not None:
                 self.on_change()

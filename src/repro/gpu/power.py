@@ -12,10 +12,14 @@ with ``alpha < 1`` (``PowerSpec.concurrency_exponent``): doubling the number
 of resident threads raises dynamic power by well under 2x, the
 lack-of-energy-proportionality the paper's introduction leads with.
 
-The model is piecewise-constant: the device calls :meth:`update` on every
-occupancy/DMA state change, and energy is the exact integral of the
-recorded segments.  The paper's *measurement procedure* (sampling the sensor
-at 15 ms / 66.7 Hz) lives in
+The model is piecewise-constant: the device calls :meth:`update` with its
+live activity counts (resident threads, busy copy engines, any command in
+flight, active streams) on every occupancy/DMA/stream state change, and
+energy is the exact integral of the recorded segments.  :meth:`evaluate`
+over a :class:`PowerState` is the reference formula; :meth:`update` gives
+the same watts bit for bit, with the dynamic term cached per
+resident-thread count so the hot path allocates nothing.  The paper's
+*measurement procedure* (sampling the sensor at 15 ms / 66.7 Hz) lives in
 :class:`repro.framework.power_monitor.PowerMonitor`, which samples this
 model; tests compare the sampled estimate against the exact integral.
 """
@@ -23,7 +27,7 @@ model; tests compare the sampled estimate against the exact integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.engine import Environment
 from .specs import PowerSpec
@@ -48,11 +52,22 @@ class PowerState:
 
 
 class PowerModel:
-    """Piecewise-constant instantaneous power with exact integration."""
+    """Piecewise-constant instantaneous power with exact integration.
 
-    def __init__(self, env: Environment, spec: PowerSpec) -> None:
+    ``thread_capacity`` is the device's resident-thread ceiling; it turns
+    the resident-thread count given to :meth:`update` into occupancy.
+    """
+
+    def __init__(
+        self, env: Environment, spec: PowerSpec, thread_capacity: int
+    ) -> None:
+        if thread_capacity <= 0:
+            raise ValueError("thread_capacity must be positive")
         self.env = env
         self.spec = spec
+        self.thread_capacity = thread_capacity
+        # resident threads -> smx_dynamic_max * occupancy ** alpha
+        self._dynamic: Dict[int, float] = {}
         self._segments: List[Tuple[float, float]] = []  # (start_time, watts)
         self._current_power: float = self.evaluate(
             PowerState(occupancy=0.0, dma_busy=0, any_active=False)
@@ -85,12 +100,47 @@ class PowerModel:
 
     # -- state updates -------------------------------------------------------
 
-    def update(self, state: PowerState) -> None:
-        """Record a state change at the current simulated time."""
-        now = self.env.now
-        new_power = self.evaluate(state)
+    def _dynamic_term(self, resident_threads: int) -> float:
+        occupancy = min(resident_threads / self.thread_capacity, 1.0)
+        if occupancy < 0.0:
+            raise ValueError(f"occupancy {occupancy} outside [0, 1]")
+        s = self.spec
+        term = s.smx_dynamic_max * occupancy ** s.concurrency_exponent
+        self._dynamic[resident_threads] = term
+        return term
+
+    def update(
+        self,
+        resident_threads: int,
+        dma_busy: int,
+        any_active: bool,
+        active_streams: int,
+    ) -> None:
+        """Record the device's activity counts at the current simulated time.
+
+        The new power is exactly ``evaluate(PowerState(occupancy=
+        min(resident_threads / thread_capacity, 1.0), ...))``: the same
+        float operations in the same order.  Every call is evaluated,
+        because :attr:`peak_power` counts same-instant transients.
+        """
+        if dma_busy < 0 or active_streams < 0:
+            raise ValueError("negative activity counts")
+        s = self.spec
+        new_power = s.idle
+        if any_active:
+            new_power += s.context_active
+        if resident_threads:
+            try:
+                new_power += self._dynamic[resident_threads]
+            except KeyError:
+                new_power += self._dynamic_term(resident_threads)
+        new_power += s.dma_active * dma_busy
+        new_power += s.stream_active * active_streams
+        if s.tdp < new_power:
+            new_power = s.tdp
         if new_power == self._current_power:
             return
+        now = self.env.now
         dt = now - self._last_change
         if dt > 0:
             if self.retain_segments:
@@ -98,7 +148,8 @@ class PowerModel:
             self._energy_before += self._current_power * dt
         self._current_power = new_power
         self._last_change = now
-        self.peak_power = max(self.peak_power, new_power)
+        if new_power > self.peak_power:
+            self.peak_power = new_power
 
     # -- queries ---------------------------------------------------------------
 

@@ -27,9 +27,12 @@ The invariant catalog (see ``docs/integrity.md``):
     (journal-side monotonicity is checked by
     :func:`repro.integrity.record.clock_regressions` at scan time).
 ``energy-accounting``
-    Instantaneous power stays within ``[idle, TDP]`` and accumulated
-    energy over any window is bounded by ``idle*dt <= dE <= TDP*dt`` —
-    consistent with the Figures 9–10 power-state model.
+    Instantaneous power stays within ``[idle, TDP]``, equals the
+    reference formula over the device's live counters
+    (``power.evaluate(device.power_state())``, so no activity change
+    skipped its power update), and accumulated energy over any window is
+    bounded by ``idle*dt <= dE <= TDP*dt`` — consistent with the
+    Figures 9–10 power-state model.
 
 Checks run every ``stride`` events (default 256): dense enough to pin a
 violation near its cause, sparse enough that
@@ -326,6 +329,14 @@ class InvariantChecker:
                 f"{label}: instantaneous power {current!r} W outside "
                 f"[{spec.idle}, {spec.tdp}] W",
                 now, device=label, power=current,
+            )
+        expected = power.evaluate(device.power_state())
+        if current != expected:
+            self._violate(
+                "energy-accounting",
+                f"{label}: power {current!r} W != formula {expected!r} W over "
+                "the live counters (activity changed without a power update)",
+                now, device=label, power=current, expected=expected,
             )
         if power.peak_power > spec.tdp + _EPS:
             self._violate(

@@ -18,7 +18,8 @@ An event goes through three states:
     sits in the environment's queue with a timestamp.
 ``processed``
     The environment popped it and ran its callbacks; waiting processes have
-    been resumed.
+    been resumed.  :meth:`Event.stamp` reaches this state directly, without
+    a calendar entry, when nobody has subscribed to the event yet.
 
 Callbacks are plain callables ``cb(event)`` stored in :attr:`Event.callbacks`;
 after processing the list is replaced by ``None`` so late registrations are
@@ -122,6 +123,30 @@ class Event:
         self._ok = True
         self._value = value
         self.env.schedule(self, priority=priority)
+        return self
+
+    def stamp(self, value: Any = None) -> "Event":
+        """Trigger successfully with ``value``, skipping the calendar if
+        nobody is subscribed.
+
+        Meant for record-keeping events that mostly carry a timestamp
+        (a command's ``ready``/``started``).  With no callback registered
+        the event is marked processed at once: no calendar entry, no
+        ``events_processed`` tick, and a process that yields it later
+        resumes immediately with ``value``.  If a callback was registered
+        before the stamp this falls back to :meth:`succeed`, so the
+        subscriber runs at the event's calendar slot, in order with the
+        other same-time events.  A processed event takes no new
+        callbacks, so use this only where nothing subscribes after the
+        trigger.
+        """
+        if self._value is not PENDING:
+            raise EventError(f"{self!r} has already been triggered")
+        if self.callbacks:
+            return self.succeed(value)
+        self._ok = True
+        self._value = value
+        self.callbacks = None
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":

@@ -1,5 +1,7 @@
 """Integration tests for :class:`repro.gpu.device.GPUDevice`."""
 
+import hashlib
+
 import pytest
 
 from repro.gpu.commands import CopyDirection
@@ -152,6 +154,55 @@ class TestPowerAccounting:
         s.enqueue_kernel(kd())
         env.run()
         assert device.power.current_power == pytest.approx(device.spec.power.idle)
+
+
+class TestPinnedOutputs:
+    """Exact outputs of the mixed-command run of
+    ``benchmarks/bench_engine_throughput.py``: 8 streams x 25 x (HtoD,
+    kernel, DtoH).  Host-side optimisations of the device model must not
+    move a single simulated bit."""
+
+    #: sha1 over every command's (ready, started, done) in enqueue order,
+    #: then (energy, peak power).
+    DIGEST = "0c84b26a6a36231ab631349c735bbc606777a0fa"
+    #: Calendar events popped.  Command ``ready``/``started`` stamps take
+    #: no calendar entry, so this is two per command (1,200) below what
+    #: scheduling them would cost.
+    EVENTS = 1609
+
+    def run_mixed(self):
+        env = Environment()
+        device = GPUDevice(env)
+        k = KernelDescriptor(
+            "k", Dim3(64), Dim3(256), registers_per_thread=16,
+            block_duration=5e-6,
+        )
+        cmds = []
+        for stream in [device.create_stream() for _ in range(8)]:
+            for _ in range(25):
+                cmds.append(stream.enqueue_memcpy(CopyDirection.HTOD, 1 << 18))
+                cmds.append(stream.enqueue_kernel(k))
+                cmds.append(stream.enqueue_memcpy(CopyDirection.DTOH, 1 << 18))
+        env.run()
+        return env, device, cmds
+
+    def test_command_times_and_energy_digest(self):
+        _env, device, cmds = self.run_mixed()
+        h = hashlib.sha1()
+        for c in cmds:
+            h.update(repr((c.ready.value, c.started.value, c.done.value)).encode())
+        h.update(repr((device.power.energy(), device.power.peak_power)).encode())
+        assert h.hexdigest() == self.DIGEST
+
+    def test_events_processed(self):
+        env, device, cmds = self.run_mixed()
+        assert len(cmds) == 600
+        assert env.events_processed == self.EVENTS
+
+    def test_power_matches_reference_formula(self):
+        _env, device, _cmds = self.run_mixed()
+        power = device.power
+        assert power.current_power == power.evaluate(device.power_state())
 
 
 class TestStreamManagement:

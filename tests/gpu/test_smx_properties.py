@@ -66,6 +66,11 @@ def _check_occupancy(device):
     # The O(1) array-level counters must agree with the per-SMX truth.
     assert device.smx.resident_blocks == resident_blocks
     assert device.smx.resident_threads == resident_threads
+    # So must the grid engine's running count of grids holding blocks.
+    engine = device.grid_engine
+    assert engine._executing == sum(
+        1 for g in engine._pending if g.outstanding > 0
+    )
 
 
 @settings(max_examples=40, deadline=None)

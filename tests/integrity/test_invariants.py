@@ -7,10 +7,14 @@ harness with ``integrity=True`` and demand silence: the model as shipped
 violates none of its own laws, with or without concurrent streams.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.workload import Workload
 from repro.framework.harness import HarnessConfig, TestHarness
+from repro.gpu.commands import CopyDirection
+from repro.gpu.device import GPUDevice
 from repro.integrity import (
     IntegrityViolation,
     InvariantChecker,
@@ -62,13 +66,14 @@ class _FakePower:
     def energy(self, until):
         return self._rate * until
 
+    def evaluate(self, state):
+        return state.watts
+
 
 class _FakeDevice:
     """The attribute surface the checker probes, in a healthy state."""
 
     def __init__(self):
-        from types import SimpleNamespace
-
         self.smx = _FakeSMXArray()
         self.spec = SimpleNamespace(
             max_resident_threads=26624,
@@ -86,6 +91,11 @@ class _FakeDevice:
         self.grid_engine = SimpleNamespace(active_grids=1, grids_completed=5)
         self.dma = {"htod": _FakeDMA(), "dtoh": _FakeDMA()}
         self.power = _FakePower()
+        # What the power formula gives for the live counters.
+        self.formula_watts = self.power.current_power
+
+    def power_state(self):
+        return SimpleNamespace(watts=self.formula_watts)
 
 
 def _checked(device, now=1.0):
@@ -160,6 +170,26 @@ class TestCatalog:
         assert any(
             v.invariant == "energy-accounting" for v in checker.violations
         )
+
+    def test_power_formula_law(self):
+        device = _FakeDevice()
+        device.formula_watts = 45.0  # counters moved, power not updated
+        checker = _checked(device)
+        assert [v.invariant for v in checker.violations] == [
+            "energy-accounting"
+        ]
+        assert "formula" in str(checker.violations[0])
+
+    def test_power_formula_law_on_real_device(self):
+        device = GPUDevice(Environment())
+        assert _checked(device, now=0.0).violations_found == 0
+        # A copy engine goes busy without telling the power model.
+        device.dma[CopyDirection.HTOD].busy = True
+        checker = _checked(device, now=0.0)
+        assert [v.invariant for v in checker.violations] == [
+            "energy-accounting"
+        ]
+        assert "formula" in str(checker.violations[0])
 
     def test_energy_integral_bounds(self):
         device = _FakeDevice()

@@ -61,6 +61,72 @@ class TestEvent:
         assert not evt.ok
 
 
+class TestStamp:
+    """``Event.stamp``: trigger without a calendar entry when unsubscribed."""
+
+    def test_unsubscribed_stamp_skips_calendar(self, env):
+        env.timeout(1.0)
+        queued, processed = env.queue_size, env.events_processed
+        evt = Event(env)
+        assert evt.stamp(3.5) is evt
+        assert env.queue_size == queued
+        assert env.events_processed == processed
+        assert evt.triggered and evt.processed and evt.ok
+        assert evt.value == 3.5
+        env.run()
+        assert env.events_processed == processed + 1  # only the timeout
+
+    def test_prior_subscriber_runs_at_calendar_slot_in_order(self, env):
+        order = []
+        first, stamped, last = Event(env), Event(env), Event(env)
+        first.callbacks.append(lambda e: order.append(("first", env.now)))
+        stamped.callbacks.append(lambda e: order.append((e.value, env.now)))
+        last.callbacks.append(lambda e: order.append(("last", env.now)))
+
+        def trigger_at_two():
+            yield env.timeout(2.0)
+            first.succeed()
+            stamped.stamp("stamped")
+            last.succeed()
+            assert not stamped.processed  # waits for its calendar slot
+
+        env.process(trigger_at_two())
+        env.run()
+        assert order == [("first", 2.0), ("stamped", 2.0), ("last", 2.0)]
+        assert stamped.processed
+
+    def test_second_trigger_rejected(self, env):
+        evt = Event(env).stamp(1)
+        with pytest.raises(EventError):
+            evt.stamp(2)
+        with pytest.raises(EventError):
+            evt.succeed(2)
+        with pytest.raises(EventError):
+            evt.fail(RuntimeError("nope"))
+        assert evt.value == 1
+        subscribed = Event(env)
+        subscribed.callbacks.append(lambda e: None)
+        subscribed.stamp(1)
+        with pytest.raises(EventError):
+            subscribed.stamp(2)
+        with pytest.raises(EventError):
+            Event(env).succeed().stamp()
+
+    def test_process_yielding_stamped_event_resumes_at_once(self, env):
+        stamped = Event(env).stamp("ready")
+        resumed = []
+
+        def waiter():
+            yield env.timeout(1.0)
+            before = env.events_processed
+            value = yield stamped
+            resumed.append((env.now, value, env.events_processed - before))
+
+        env.process(waiter())
+        env.run()
+        assert resumed == [(1.0, "ready", 0)]
+
+
 class TestTimeout:
     def test_fires_at_delay(self, env):
         evt = env.timeout(5.0, value="done")

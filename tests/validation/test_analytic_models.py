@@ -101,21 +101,21 @@ class TestThroughputSaturation:
 class TestEnergyClosedForm:
     def test_scripted_activity_pattern(self):
         """Energy for a known duty cycle equals the hand integral."""
-        from repro.gpu.power import PowerModel, PowerState
-        from repro.gpu.specs import PowerSpec
+        from repro.gpu.power import PowerModel
+        from repro.gpu.specs import PowerSpec, tesla_k20
 
         spec = PowerSpec()
         env = Environment()
-        model = PowerModel(env, spec)
-        busy = PowerState(occupancy=0.25, dma_busy=1, any_active=True,
-                          active_streams=4)
-        idle = PowerState(occupancy=0.0, dma_busy=0, any_active=False)
+        capacity = tesla_k20().max_resident_threads
+        model = PowerModel(env, spec, capacity)
 
         def driver():
             for _ in range(10):
-                model.update(busy)
+                # A quarter of the resident threads, one copy engine and
+                # four streams busy.
+                model.update(capacity // 4, 1, True, 4)
                 yield env.timeout(0.01)
-                model.update(idle)
+                model.update(0, 0, False, 0)
                 yield env.timeout(0.03)
 
         env.process(driver())
