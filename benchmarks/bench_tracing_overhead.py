@@ -2,7 +2,7 @@
 the sim.
 
 The tracing layer promises two things (docs/observability.md): with
-``tracing=None`` nothing changes at all — the engine's tracer slot is
+``tracing=None`` nothing changes at all — each app thread's tracer is
 ``None`` and every instrumentation site is a single attribute check —
 and with a live :class:`~repro.telemetry.Tracing` attached the
 simulated results are *identical* (spans are record-complete — both

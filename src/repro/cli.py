@@ -27,6 +27,16 @@ from .apps.registry import all_pairs, list_apps
 __all__ = ["main", "build_parser"]
 
 
+def _add_journal_args(
+    p: argparse.ArgumentParser,
+    journal_help: str,
+    resume_help: str = "resume a crashed run from --journal",
+) -> None:
+    """The ``--journal PATH`` / ``--resume`` pair of a crash-safe command."""
+    p.add_argument("--journal", type=Path, default=None, help=journal_help)
+    p.add_argument("--resume", action="store_true", help=resume_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for the docs and tests)."""
     parser = argparse.ArgumentParser(
@@ -149,10 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crash-at", type=float, default=None,
                    help="kill the harness at this simulated time "
                    "(exercise the journal)")
-    p.add_argument("--journal", type=Path, default=None,
-                   help="crash-safe JSONL outcome journal path")
-    p.add_argument("--resume", action="store_true",
-                   help="resume a crashed run from --journal")
+    _add_journal_args(p, "crash-safe JSONL outcome journal path")
     p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser(
@@ -171,10 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=0.1,
                    help="bandit exploration probability")
-    p.add_argument("--journal", type=Path, default=None,
-                   help="crash-safe decision journal path")
-    p.add_argument("--resume", action="store_true",
-                   help="resume a crashed run from --journal")
+    _add_journal_args(p, "crash-safe decision journal path")
     p.add_argument("--crash-after", type=int, default=None, metavar="N",
                    help="kill the run after N batches (exercise the journal)")
 
@@ -281,10 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crash-at", type=float, default=None,
                    help="kill the harness at this simulated time "
                    "(exercise the journal)")
-    p.add_argument("--journal", type=Path, default=None,
-                   help="crash-safe JSONL checkpoint/failover journal path")
-    p.add_argument("--resume", action="store_true",
-                   help="resume a crashed run from --journal")
+    _add_journal_args(p, "crash-safe JSONL checkpoint/failover journal path")
 
     p = sub.add_parser(
         "telemetry",
@@ -367,11 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", type=Path, default=None, metavar="FILE",
                    help="serve from a recorded trace instead of generating "
                    "inline (fingerprint-checked)")
-    p.add_argument("--journal", type=Path, default=None,
-                   help="crash-safe serving outcome journal path")
-    p.add_argument("--resume", action="store_true",
-                   help="resume a crashed run (serving journal or trace "
-                   "recording)")
+    _add_journal_args(
+        p,
+        "crash-safe serving outcome journal path",
+        resume_help="resume a crashed run (serving journal or trace "
+        "recording)",
+    )
     p.add_argument("--batched", action="store_true",
                    help="score batch-scheduler policies on the scenario "
                    "instead (SLO-goodput leaderboard)")
@@ -415,6 +417,17 @@ def _emit(rows: List[dict], title: str, out: Optional[Path], name: str) -> None:
     if out is not None:
         path = write_csv(rows, out / f"{name}.csv")
         print(f"(wrote {path})")
+
+
+def _report_crash(crash: Exception, journal: Optional[Path]) -> int:
+    """Report a mid-run harness crash; exit code 3 means "resumable"."""
+    print(f"harness crashed mid-run: {crash}")
+    if journal is not None:
+        print(
+            f"journal preserved at {journal}; rerun with "
+            "--resume to recover deterministically"
+        )
+    return 3
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -643,7 +656,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "autotune":
         from .core.autotune import OrderSearch
         from .core.workload import Workload
-        from .framework.scheduler import schedule_signature
+        from .scheduling.orders import schedule_signature
 
         workload = Workload.heterogeneous_pair(*args.pair, args.apps, scale=scale)
         search = OrderSearch(
@@ -759,7 +772,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             TopologyConfig,
         )
         from .fleet.topology import FleetTopology
-        from .framework.scheduler import SchedulingOrder
+        from .scheduling.orders import SchedulingOrder
         from .resilience.faults import FaultKind, FaultPlan, FaultSpec
         from .sim.errors import HarnessCrash
 
@@ -887,13 +900,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 resume=args.resume,
             ).run()
         except HarnessCrash as crash:
-            print(f"harness crashed mid-run: {crash}")
-            if args.journal is not None:
-                print(
-                    f"journal preserved at {args.journal}; rerun with "
-                    "--resume to recover deterministically"
-                )
-            return 3
+            return _report_crash(crash, args.journal)
 
         rows = [
             {
@@ -1261,13 +1268,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 resume=args.resume,
             )
         except HarnessCrash as crash:
-            print(f"harness crashed mid-run: {crash}")
-            if args.journal is not None:
-                print(
-                    f"journal preserved at {args.journal}; rerun with "
-                    "--resume to recover deterministically"
-                )
-            return 3
+            return _report_crash(crash, args.journal)
         rows = [
             {
                 "policy": result.dispatcher,
@@ -1321,13 +1322,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 crash_after=args.crash_after,
             )
         except HarnessCrash as crash:
-            print(f"harness crashed mid-run: {crash}")
-            if args.journal is not None:
-                print(
-                    f"journal preserved at {args.journal}; rerun with "
-                    "--resume to recover deterministically"
-                )
-            return 3
+            return _report_crash(crash, args.journal)
         rows = [
             {
                 "batch": i,
@@ -1429,13 +1424,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 resume=args.resume,
             )
         except HarnessCrash as crash:
-            print(f"harness crashed mid-run: {crash}")
-            if args.journal is not None:
-                print(
-                    f"journal preserved at {args.journal}; rerun with "
-                    "--resume to recover deterministically"
-                )
-            return 3
+            return _report_crash(crash, args.journal)
         metrics = result.metrics()
         classes = metrics.pop("classes")
         summary_rows = [

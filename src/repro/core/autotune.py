@@ -1,22 +1,16 @@
-"""Launch-order search and learning (the paper's future work, realized).
+"""Launch-order search (the paper's future work, realized).
 
 Section III-C conjectures that "we could converge on an optimal ordering
-without exhaustively searching all possible orderings", and the conclusion
-plans "learning algorithms capable of proposing dynamic reordering of the
-task queue to achieve specific objectives, such as greater throughput and
-lower power consumption".  This module implements both:
+without exhaustively searching all possible orderings".
+:class:`OrderSearch` does that: derivative-free search over launch
+orders, seeded from the five Figure 3 policies, then random restarts and
+greedy pairwise-swap hill climbing, each candidate evaluated by an actual
+harness run.  Deterministic given its seed.  It optimizes a pluggable
+objective (:data:`OBJECTIVES`): makespan, energy, or energy-delay product.
 
-* :class:`OrderSearch` — derivative-free search over launch orders: seeds
-  from the five Figure 3 policies, then random restarts and greedy pairwise
-  -swap hill climbing, each candidate evaluated by an actual harness run.
-  Deterministic given its seed.
-* :class:`PolicyBandit` — an epsilon-greedy multi-armed bandit over the
-  five named policies for *repeated* batches: each round it picks a policy,
-  observes the chosen objective, and updates its estimates.  This is the
-  "dynamic reordering" learner for recurring workload mixes.
-
-Both optimize a pluggable objective (:data:`OBJECTIVES`): makespan, energy,
-or energy-delay product.
+The conclusion's "learning algorithms capable of proposing dynamic
+reordering of the task queue" for recurring workload mixes live in
+:mod:`repro.scheduling.policies` (the epsilon-greedy bandit policy).
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..framework.harness import HarnessConfig, TestHarness
-from ..framework.scheduler import SchedulingOrder, all_orders, make_schedule
+from ..scheduling.orders import all_orders, make_schedule
 from .runner import RunConfig, RunResult
 from .workload import Workload
 
@@ -36,8 +30,6 @@ __all__ = [
     "evaluate_schedule",
     "SearchResult",
     "OrderSearch",
-    "BanditRound",
-    "PolicyBandit",
 ]
 
 #: Objective name -> extractor (smaller is better).
@@ -279,105 +271,3 @@ class OrderSearch:
             seed_values={"exhaustive-worst": max(values),
                          "exhaustive-best": min(values)},
         )
-
-
-@dataclass
-class BanditRound:
-    """One decision of the :class:`PolicyBandit`."""
-
-    round_index: int
-    policy: SchedulingOrder
-    value: float
-    explored: bool
-
-
-class PolicyBandit:
-    """Epsilon-greedy bandit over the five Figure 3 policies.
-
-    For a service that runs the *same class* of batch repeatedly (the
-    paper's streaming-workload future work), the bandit converges on the
-    policy minimizing the chosen objective while spending a bounded
-    fraction of rounds exploring.
-    """
-
-    def __init__(
-        self,
-        workload: Workload,
-        num_streams: int,
-        memory_sync: bool = True,
-        objective: str = "makespan",
-        epsilon: float = 0.2,
-        seed: int = 0,
-        spec=None,
-    ) -> None:
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        if objective not in OBJECTIVES:
-            raise KeyError(
-                f"unknown objective {objective!r}; available: {sorted(OBJECTIVES)}"
-            )
-        self.workload = workload
-        self.num_streams = num_streams
-        self.memory_sync = memory_sync
-        self.objective = objective
-        self.epsilon = epsilon
-        self.spec = spec
-        self.rng = np.random.default_rng(seed)
-        self.policies = list(all_orders())
-        self.counts: Dict[SchedulingOrder, int] = {p: 0 for p in self.policies}
-        self.means: Dict[SchedulingOrder, float] = {p: 0.0 for p in self.policies}
-        self.rounds: List[BanditRound] = []
-
-    def _observe(self, policy: SchedulingOrder) -> float:
-        schedule = make_schedule(self.workload.types, policy, rng=self.rng)
-        value, _run = evaluate_schedule(
-            self.workload,
-            schedule,
-            self.num_streams,
-            memory_sync=self.memory_sync,
-            objective=self.objective,
-            spec=self.spec,
-        )
-        return value
-
-    def select(self) -> Tuple[SchedulingOrder, bool]:
-        """Pick the next policy (returns (policy, explored?))."""
-        untried = [p for p in self.policies if self.counts[p] == 0]
-        if untried:
-            return untried[0], True
-        if self.rng.random() < self.epsilon:
-            return self.policies[self.rng.integers(len(self.policies))], True
-        return self.best_policy(), False
-
-    def step(self) -> BanditRound:
-        """One decide -> run -> update round."""
-        policy, explored = self.select()
-        value = self._observe(policy)
-        n = self.counts[policy] + 1
-        self.counts[policy] = n
-        self.means[policy] += (value - self.means[policy]) / n
-        record = BanditRound(
-            round_index=len(self.rounds),
-            policy=policy,
-            value=value,
-            explored=explored,
-        )
-        self.rounds.append(record)
-        return record
-
-    def run(self, rounds: int) -> List[BanditRound]:
-        """Execute ``rounds`` decisions and return their records."""
-        return [self.step() for _ in range(rounds)]
-
-    def best_policy(self) -> SchedulingOrder:
-        """Current best estimate (lowest mean objective; ties by order)."""
-        tried = [p for p in self.policies if self.counts[p] > 0]
-        if not tried:
-            return self.policies[0]
-        return min(tried, key=lambda p: (self.means[p], self.policies.index(p)))
-
-    def exploitation_fraction(self) -> float:
-        """Share of rounds spent exploiting the current best."""
-        if not self.rounds:
-            return 0.0
-        return sum(1 for r in self.rounds if not r.explored) / len(self.rounds)

@@ -25,9 +25,9 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..framework.kernel import AppProfile, Buffer, Phase, TransferPhase
-from ..framework.scheduler import SchedulingOrder, make_schedule
 from ..gpu.block_scheduler import GridState
 from ..gpu.specs import DeviceSpec
+from ..scheduling.orders import SchedulingOrder, make_schedule
 
 __all__ = ["symbiosis_admission", "chunk_profile", "wende_schedule"]
 

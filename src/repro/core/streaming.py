@@ -49,12 +49,9 @@ import numpy as np
 
 from ..apps.registry import get_app_class
 from ..framework.app_thread import AppThread
+from ..framework.device_stack import DeviceStack
 from ..framework.metrics import AppRecord
-from ..framework.power_monitor import PowerMonitor
-from ..framework.stream_manager import StreamManager
-from ..framework.sync import make_synchronizer
-from ..gpu.device import GPUDevice
-from ..gpu.specs import DeviceSpec, tesla_k20
+from ..gpu.specs import DeviceSpec
 from ..sim.engine import Environment
 from ..sim.errors import FaultError, HarnessCrash
 from ..sim.events import AllOf, Event
@@ -417,19 +414,19 @@ def run_streaming(
         arrival_iter = itertools.chain((head,), arrival_iter)
     hooks = serving if serving is not None else ServingHooks()
     scale_name = resolve_scale(scale)
-    spec = spec or tesla_k20()
     env = Environment()
-    injector = None
-    plan = hooks.fault_plan
-    if plan is not None and len(plan):
-        from ..resilience import FaultInjector
-
-        injector = FaultInjector(env, plan)
-        env.attach_fault_injector(injector)
-    device = GPUDevice(env, spec=spec, injector=injector)
-    manager = StreamManager(env, device, num_streams)
-    synchronizer = make_synchronizer(env, memory_sync)
-    monitor = PowerMonitor(env, device, interval=power_interval, injector=injector)
+    stack = DeviceStack(
+        env,
+        spec,
+        num_streams,
+        memory_sync,
+        plan=hooks.fault_plan,
+        power_interval=power_interval,
+    )
+    device = stack.gpu
+    manager = stack.manager
+    synchronizer = stack.synchronizer
+    monitor = stack.monitor
     if not hooks.retain_records:
         # Bounded-memory mode: drop the O(simulated-time) power history.
         # The exact running energy integral and the monitor's aggregate
@@ -471,8 +468,6 @@ def run_streaming(
 
     tracer = tracing.tracer if tracing is not None else None
     burn_monitor = tracing.monitor if tracing is not None else None
-    if tracer is not None:
-        env.attach_tracer(tracer)
     #: launch_index -> root SpanContext for every traced arrival.
     trace_ctxs: Dict[int, object] = {}
 
@@ -491,7 +486,7 @@ def run_streaming(
         instrument_environment(telemetry, env)
         instrument_device(telemetry, device)
         instrument_records(telemetry, records)
-        instrument_injector(telemetry, injector)
+        instrument_injector(telemetry, stack.injector)
         admission_depth = telemetry.gauge(
             "repro_serving_admission_queue_depth",
             "Jobs prepared and waiting for admission",
@@ -641,14 +636,9 @@ def run_streaming(
         # arrivals, then join the admission queue.
         thread = make_thread(arrival)
         if tracer is not None:
-            ctx = tracer.start_trace(
-                thread.record.app_id,
-                arrival.time,
-                type=arrival.type_name,
-                index=arrival.index,
+            trace_ctxs[arrival.index] = thread.open_trace(
+                tracer, arrival.time, type=arrival.type_name, index=arrival.index
             )
-            thread.trace_ctx = ctx
-            trace_ctxs[arrival.index] = ctx
         prepare_from = env.now
         yield from thread.prepare()
         if tracer is not None and env.now > prepare_from:
@@ -793,7 +783,7 @@ def run_streaming(
             state["settled"] += 1
             if hooks.retain_records:
                 queue_delays.append(env.now - arrival_time)
-            if tracer is not None and thread.trace_ctx is not None:
+            if tracer is not None:
                 ready_at = getattr(thread, "_trace_ready_at", arrival_time)
                 if env.now > ready_at:
                     tracer.record_leaf(

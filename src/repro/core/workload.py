@@ -27,7 +27,7 @@ import numpy as np
 
 from ..apps.registry import get_app_class
 from ..framework.kernel import KernelApp
-from ..framework.scheduler import SchedulingOrder, make_schedule
+from ..scheduling.orders import SchedulingOrder, make_schedule
 
 __all__ = ["SCALES", "resolve_scale", "Workload"]
 

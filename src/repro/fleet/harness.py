@@ -349,8 +349,6 @@ class FleetHarness:
         fleet = self.fleet
         env = Environment()
         tracer = self.tracing.tracer if self.tracing is not None else None
-        if tracer is not None:
-            env.attach_tracer(tracer)
         registry = DeviceRegistry(
             env,
             fleet,

@@ -1,12 +1,14 @@
 """The fleet's device registry: N simulated GPUs with health state.
 
-Each :class:`FleetDevice` bundles one :class:`~repro.gpu.device.GPUDevice`
-with its own stream pool, transfer synchronizer, power monitor and fault
-injector (fed the per-device slice of the run's fault plan).  The registry
-owns ground-truth liveness: a ``DEVICE_LOSS`` spec spawns a tiny process
-that marks the device lost at the planned instant and notifies the failover
-coordinator — *detection* (and therefore migration) happens later, when the
-health monitor's missed-heartbeat budget runs out.
+Each :class:`FleetDevice` is a
+:class:`~repro.framework.device_stack.DeviceStack` — one
+:class:`~repro.gpu.device.GPUDevice` with its own stream pool, transfer
+synchronizer, power monitor and fault injector (fed the per-device slice
+of the run's fault plan) — plus health state.  The registry owns
+ground-truth liveness: a ``DEVICE_LOSS`` spec spawns a tiny process that
+marks the device lost at the planned instant and notifies the failover
+coordinator — *detection* (and therefore migration) happens later, when
+the health monitor's missed-heartbeat budget runs out.
 
 A lost device is never torn down mid-run: commands already on its queues
 may keep retiring in the simulation, but their completions are ignored by
@@ -19,12 +21,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from ..framework.power_monitor import PowerMonitor
-from ..framework.stream_manager import StreamManager
-from ..framework.sync import make_synchronizer
-from ..gpu.device import GPUDevice
+from ..framework.device_stack import DeviceStack
 from ..gpu.specs import DeviceSpec, tesla_k20
-from ..resilience.faults import GRAY_KINDS, FaultInjector, FaultPlan
+from ..resilience.faults import GRAY_KINDS, FaultPlan
 from .config import FleetConfig
 from .topology import FleetTopology
 
@@ -45,7 +44,7 @@ class DeviceState(str, Enum):
         return self.value
 
 
-class FleetDevice:
+class FleetDevice(DeviceStack):
     """One registry slot: a GPU plus its per-device serving machinery."""
 
     def __init__(
@@ -58,25 +57,17 @@ class FleetDevice:
         copy_policy: str,
         power_interval: float,
         plan: FaultPlan,
-        trace=None,
     ) -> None:
-        self.env = env
-        self.index = index
-        self.injector: Optional[FaultInjector] = None
-        if not plan.empty:
-            self.injector = FaultInjector(env, plan, trace=trace)
-        self.gpu = GPUDevice(
+        super().__init__(
             env,
-            spec=spec,
-            trace=trace,
+            spec,
+            num_streams,
+            memory_sync,
+            plan=plan,
             copy_policy=copy_policy,
-            injector=self.injector,
+            power_interval=power_interval,
         )
-        self.manager = StreamManager(env, self.gpu, num_streams)
-        self.synchronizer = make_synchronizer(env, memory_sync)
-        self.monitor = PowerMonitor(
-            env, self.gpu, interval=power_interval, injector=self.injector
-        )
+        self.index = index
         self.state = DeviceState.HEALTHY
         self.loss_time: Optional[float] = None
         self.detected_time: Optional[float] = None
@@ -143,7 +134,6 @@ class DeviceRegistry:
         copy_policy: str = "interleave",
         power_interval: float = 15e-3,
         plan: Optional[FaultPlan] = None,
-        trace=None,
     ) -> None:
         self.env = env
         self.fleet = fleet
@@ -167,7 +157,6 @@ class DeviceRegistry:
                 copy_policy,
                 power_interval,
                 self.plan.for_device(index),
-                trace=trace,
             )
             for index in range(fleet.num_devices)
         ]

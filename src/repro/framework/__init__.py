@@ -13,14 +13,24 @@ the same architecture over the simulated device:
   dynamic assignment.
 * :class:`~repro.framework.sync.TransferSynchronizer` — the Section III-B
   HtoD transfer mutex ("pseudo-burst" transfers).
-* :mod:`~repro.framework.scheduler` — the five launch orders of Figure 3.
+* :class:`~repro.framework.device_stack.DeviceStack` — one device with its
+  stream pool, synchronizer, power monitor and fault injector.
+* the five launch orders of Figure 3, re-exported from
+  :mod:`repro.scheduling.orders`.
 * :class:`~repro.framework.power_monitor.PowerMonitor` — NVML-style power
   sampling.
 * :class:`~repro.framework.harness.TestHarness` — runs one configured
   schedule end to end and measures everything.
 """
 
+from ..scheduling.orders import (
+    SchedulingOrder,
+    all_orders,
+    make_schedule,
+    schedule_signature,
+)
 from .app_thread import AppContext, AppThread
+from .device_stack import DeviceStack
 from .harness import HarnessConfig, HarnessResult, TestHarness
 from .kernel import (
     TABLE_II,
@@ -43,7 +53,6 @@ from .metrics import (
     makespan,
 )
 from .power_monitor import DEFAULT_INTERVAL, PowerMonitor, PowerSample
-from .scheduler import SchedulingOrder, all_orders, make_schedule, schedule_signature
 from .stream import Stream
 from .stream_manager import ASSIGNMENT_POLICIES, StreamManager
 from .sync import NullSynchronizer, TransferSynchronizer, make_synchronizer
@@ -73,6 +82,7 @@ __all__ = [
     "DEFAULT_INTERVAL",
     "AppThread",
     "AppContext",
+    "DeviceStack",
     "TestHarness",
     "HarnessConfig",
     "HarnessResult",

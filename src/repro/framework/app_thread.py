@@ -118,9 +118,11 @@ class AppThread:
         self.stream: Optional[Stream] = None
         self.synchronizer = synchronizer
         self.record = record
-        # Causal-tracing context for this app, set by the engine that
-        # admitted it (None in untraced runs: every site below is one
-        # attribute check and results stay byte-identical).
+        # Causal tracer and this app's root context, both set by
+        # :meth:`open_trace` in the engine that admitted it (None in
+        # untraced runs: every site below is one attribute check and
+        # results stay byte-identical).
+        self.tracer = None
         self.trace_ctx = None
         self.ctx = AppContext(
             env=env,
@@ -148,6 +150,16 @@ class AppThread:
         yield from self.app.free_device_memory(self.ctx)
         yield from self.app.free_host_memory(self.ctx)
 
+    def open_trace(self, tracer, start: float, **attrs) -> object:
+        """Open this app's causal trace on ``tracer`` and return its root.
+
+        The thread keeps the tracer, so its own wait spans and those of
+        a supervisor driving it land on the same trace.
+        """
+        self.tracer = tracer
+        self.trace_ctx = tracer.start_trace(self.record.app_id, start, **attrs)
+        return self.trace_ctx
+
     def assign_stream(self, stream: Stream) -> None:
         """Bind the framework stream (done at child-thread launch time)."""
         self.stream = stream
@@ -164,7 +176,7 @@ class AppThread:
         ctx = self.ctx
         record = self.record
 
-        traced = env.tracer is not None and self.trace_ctx is not None
+        traced = self.tracer is not None
 
         # Serialize with other applications sharing this stream.
         occupy_from = env.now
@@ -238,7 +250,7 @@ class AppThread:
             and phase.direction is CopyDirection.HTOD
             and phase.synchronized
         )
-        traced = self.env.tracer is not None and self.trace_ctx is not None
+        traced = self.tracer is not None
         if use_mutex:
             mutex_from = self.env.now
             token = yield from self.synchronizer.acquire(app.app_id)
@@ -269,9 +281,7 @@ class AppThread:
         """
         end = self.env.now if end is None else end
         if end > start:
-            self.env.tracer.record_leaf(
-                self.trace_ctx, name, category, start, end
-            )
+            self.tracer.record_leaf(self.trace_ctx, name, category, start, end)
 
     def _harvest(self) -> None:
         """Convert completed commands into metric events."""
@@ -302,7 +312,7 @@ class AppThread:
                     waves=cmd.waves,
                 )
             )
-        if self.env.tracer is not None and self.trace_ctx is not None:
+        if self.tracer is not None:
             self._harvest_spans()
 
     def _harvest_spans(self) -> None:
@@ -315,7 +325,7 @@ class AppThread:
         """
         # Tight loop over every completed command: bind the fast-path
         # recorder locally, it runs twice per kernel and per burst.
-        leaf = self.env.tracer.record_leaf
+        leaf = self.tracer.record_leaf
         ctx = self.trace_ctx
         for ev in self.record.transfers:
             if ev.started > ev.enqueued:

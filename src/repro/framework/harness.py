@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..gpu.device import GPUDevice
 from ..gpu.specs import DeviceSpec, tesla_k20
 from ..resilience import (
     AppSupervisor,
@@ -35,11 +34,10 @@ from ..sim.engine import Environment
 from ..sim.events import AllOf
 from ..sim.trace import TraceRecorder
 from .app_thread import AppThread
+from .device_stack import DeviceStack
 from .kernel import KernelApp
 from .metrics import AppRecord, average_effective_latency, makespan
-from .power_monitor import DEFAULT_INTERVAL, PowerMonitor
-from .stream_manager import StreamManager
-from .sync import make_synchronizer
+from .power_monitor import DEFAULT_INTERVAL
 
 __all__ = ["HarnessConfig", "HarnessResult", "TestHarness"]
 
@@ -195,20 +193,31 @@ class TestHarness:
         env = Environment()
         trace = TraceRecorder() if cfg.record_trace else None
         resil = cfg.resilience
-        injector: Optional[FaultInjector] = None
-        hot_injector: Optional[FaultInjector] = None
+        stack = DeviceStack(
+            env,
+            cfg.spec,
+            cfg.num_streams,
+            cfg.memory_sync,
+            plan=resil.plan if resil is not None else None,
+            trace=trace,
+            copy_policy=cfg.copy_policy,
+            admission=cfg.admission,
+            stream_policy=cfg.stream_policy,
+            power_interval=cfg.power_interval,
+        )
+        device = stack.gpu
+        manager = stack.manager
+        synchronizer = stack.synchronizer
+        monitor = stack.monitor
+        injector = stack.injector
         watchdog: Optional[Watchdog] = None
         limiter: Optional[ConcurrencyLimiter] = None
         controller: Optional[DegradationController] = None
         if resil is not None:
-            injector = FaultInjector(env, resil.plan, trace=trace)
-            # Only an actual fault plan warrants paying the per-event /
-            # per-command hook costs; with an empty plan the engines stay
-            # on their original code paths (the injector still serves
-            # retry/deadline trace marks).
-            if not injector.plan.empty:
-                hot_injector = injector
-                env.attach_fault_injector(injector)
+            if injector is None:
+                # No faults to inject, but supervisors still trace-mark
+                # retries and deadlines through an injector.
+                injector = FaultInjector(env, resil.plan, trace=trace)
             if resil.wants_deadlines:
                 watchdog = Watchdog(env)
             if resil.degradation_threshold > 0:
@@ -216,21 +225,6 @@ class TestHarness:
                 controller = DegradationController(
                     limiter, resil.degradation_threshold, injector
                 )
-        device = GPUDevice(
-            env,
-            spec=cfg.spec,
-            trace=trace,
-            copy_policy=cfg.copy_policy,
-            admission=cfg.admission,
-            injector=hot_injector,
-        )
-        manager = StreamManager(
-            env, device, cfg.num_streams, policy=cfg.stream_policy
-        )
-        synchronizer = make_synchronizer(env, cfg.memory_sync)
-        monitor = PowerMonitor(
-            env, device, interval=cfg.power_interval, injector=hot_injector
-        )
         records: List[AppRecord] = []
         rng = np.random.default_rng(cfg.seed)
 
@@ -247,8 +241,6 @@ class TestHarness:
             integrity.attach(env)
 
         tracer = cfg.tracing.tracer if cfg.tracing is not None else None
-        if tracer is not None:
-            env.attach_tracer(tracer)
 
         telemetry = cfg.telemetry
         if telemetry is not None:
@@ -286,11 +278,10 @@ class TestHarness:
                 thread = AppThread(env, device, app, synchronizer, record)
                 threads.append(thread)
                 if tracer is not None:
-                    thread.trace_ctx = tracer.start_trace(
-                        record.app_id, env.now,
+                    trace_ctxs[launch_index] = thread.open_trace(
+                        tracer, env.now,
                         type=record.type_name, index=launch_index,
                     )
-                    trace_ctxs[launch_index] = thread.trace_ctx
                 prepare_from = env.now
                 yield from thread.prepare()
                 if tracer is not None and env.now > prepare_from:

@@ -11,13 +11,11 @@ the *model* of those failures:
   either written explicitly (tests, demos) or *generated* from a seed
   (:meth:`FaultPlan.generate`), and the same seed always produces the
   same schedule — results under fault injection stay reproducible.
-* :class:`FaultInjector` — the runtime object the engines consult.  It is
-  attached to the :class:`~repro.sim.engine.Environment` event loop
-  (``env.attach_fault_injector``) so time-scheduled faults *arm* exactly
-  when the simulated clock reaches them, and consumed by the hooks in
-  :mod:`repro.gpu.block_scheduler` (kernel hangs / launch failures),
-  :mod:`repro.gpu.dma` (engine stalls) and
-  :mod:`repro.framework.power_monitor` (sample dropouts).
+* :class:`FaultInjector` — the runtime object the engines consult.  Each
+  consultation first *arms* every spec whose time the simulated clock has
+  reached, then the hooks in :mod:`repro.gpu.block_scheduler` (kernel
+  hangs / launch failures), :mod:`repro.gpu.dma` (engine stalls) and
+  :mod:`repro.framework.power_monitor` (sample dropouts) consume them.
 
 Nothing here imports above :mod:`repro.sim`; the package sits beside
 :mod:`repro.gpu` in the layering so the device model can depend on it
@@ -600,12 +598,12 @@ class FaultInjector:
     """Runtime fault state for one simulation run.
 
     The injector holds the plan's specs in a pending queue ordered by arm
-    time.  ``on_step`` (called by the environment at every event pop)
-    moves due specs into per-kind armed queues; the engine hooks consume
-    armed faults the next time a matching activity occurs.  Every applied
-    fault is appended to :attr:`records` and, when a trace is attached,
-    marked as an instant on the ``resilience`` track so Chrome-trace
-    exports show exactly where faults landed.
+    time.  Every engine-facing method first moves the specs due at
+    ``now`` into per-kind armed queues, then consumes armed faults that
+    match the activity at hand.  Every applied fault is appended to
+    :attr:`records` and, when a trace is attached, marked as an instant
+    on the ``resilience`` track so Chrome-trace exports show exactly
+    where faults landed.
     """
 
     def __init__(
@@ -652,9 +650,9 @@ class FaultInjector:
             f"pending={len(self._pending)}>"
         )
 
-    # -- event-loop hook ---------------------------------------------------
+    # -- arming ------------------------------------------------------------
 
-    def on_step(self, now: float) -> None:
+    def _arm(self, now: float) -> None:
         """Arm every pending fault whose time has been reached."""
         pending = self._pending
         while pending and pending[0].time <= now:
@@ -724,7 +722,7 @@ class FaultInjector:
         caller applies the returned spec (fail the launch or inflate the
         grid's block duration) — recording happens here.
         """
-        self.on_step(now)
+        self._arm(now)
         for i, spec in enumerate(self._armed_kernel):
             if spec.matches(app_id):
                 del self._armed_kernel[i]
@@ -743,7 +741,7 @@ class FaultInjector:
         Called by a copy engine immediately before serving a command;
         every matching armed stall is applied (summed) and recorded.
         """
-        self.on_step(now)
+        self._arm(now)
         total = 0.0
         remaining: Deque[FaultSpec] = deque()
         for spec in self._armed_stalls:
@@ -763,7 +761,7 @@ class FaultInjector:
         when no DEVICE_THROTTLE window is open.  Each window is recorded
         once, on the first submission it slows down.
         """
-        self.on_step(now)
+        self._arm(now)
         factor = 1.0
         keep: List[FaultSpec] = []
         for spec in self._throttle_windows:
@@ -788,7 +786,7 @@ class FaultInjector:
         A read-only probe for health classification: does *not* record
         the window as applied (only a slowed-down submission does).
         """
-        self.on_step(now)
+        self._arm(now)
         return any(
             spec.time <= now < spec.time + spec.duration
             for spec in self._throttle_windows
@@ -802,7 +800,7 @@ class FaultInjector:
         ``1.0`` when no SMX_SLOWDOWN window is open.  Each window is
         recorded once, on the first cohort it slows.
         """
-        self.on_step(now)
+        self._arm(now)
         factor = 1.0
         keep: List[FaultSpec] = []
         for spec in self._slowdown_windows:
@@ -828,7 +826,7 @@ class FaultInjector:
         factor multiplies the command's wire time.  Windows pinned to the
         other direction are skipped (but kept until they expire).
         """
-        self.on_step(now)
+        self._arm(now)
         factor = 1.0
         keep: List[FaultSpec] = []
         for spec in self._stretch_windows:
@@ -857,7 +855,7 @@ class FaultInjector:
         own ``(time, device)`` identity — deterministic for a given plan
         no matter what else the run draws.
         """
-        self.on_step(now)
+        self._arm(now)
         factor = 1.0
         keep: List[FaultSpec] = []
         for spec in self._jitter_windows:
@@ -892,7 +890,7 @@ class FaultInjector:
         A read-only probe (mirrors :meth:`throttle_active`): does *not*
         record windows as applied — only a slowed activity does.
         """
-        self.on_step(now)
+        self._arm(now)
         return any(
             spec.time <= now < spec.time + spec.duration
             for windows in (
@@ -905,7 +903,7 @@ class FaultInjector:
 
     def drop_power_sample(self, now: float) -> bool:
         """Whether the power sample at ``now`` falls in a dropout window."""
-        self.on_step(now)
+        self._arm(now)
         active = False
         keep: List[FaultSpec] = []
         for spec in self._dropout_windows:

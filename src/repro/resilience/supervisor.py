@@ -108,11 +108,12 @@ class AppSupervisor:
         record = thread.record
         attempt = 0
         # Causal tracing: the supervisor annotates the supervised app's
-        # trace (backoffs, watchdog fires, budget denials).  Both checks
-        # default to None, so unsupervised-style runs pay nothing.
-        tracer = env.tracer
-        trace_ctx = getattr(thread, "trace_ctx", None)
-        traced = tracer is not None and trace_ctx is not None
+        # trace (backoffs, watchdog fires, budget denials) through the
+        # tracer the thread carries; None in untraced runs, which pay
+        # nothing.
+        tracer = thread.tracer
+        trace_ctx = thread.trace_ctx
+        traced = tracer is not None
 
         while True:
             attempt += 1

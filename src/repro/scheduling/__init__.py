@@ -15,7 +15,7 @@ harness.  Per admitted batch, a :class:`BatchScheduler` selects
 Layout:
 
 * :mod:`~repro.scheduling.orders` — the five Figure 3 static orders
-  (canonical home; re-exported by ``repro.framework.scheduler``).
+  (also re-exported by ``repro.framework``).
 * :mod:`~repro.scheduling.characterize` — transfer-heavy vs compute-heavy
   classification from declared Table III geometry blended with observed
   per-record telemetry.
@@ -63,9 +63,9 @@ __all__ = [
 ]
 
 #: name -> submodule for the adaptive layer.  Resolved lazily so that
-#: importing ``repro.framework`` (whose ``scheduler`` shim pulls in
-#: :mod:`.orders`) does not drag the characterizer / harness stack along —
-#: which would be a circular import during package initialization.
+#: importing ``repro.framework`` (which re-exports :mod:`.orders`) does
+#: not drag the characterizer / harness stack along — which would be a
+#: circular import during package initialization.
 _LAZY = {
     "AppClass": "characterize",
     "TypeProfile": "characterize",

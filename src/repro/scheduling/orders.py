@@ -19,10 +19,9 @@ Orders generalize beyond two types: the type sequence of the schedule is
 permuted per policy while instances of each type keep their relative order
 (verified by tests against the paper's Figure 3 example with m = n = 4).
 
-This module is the canonical home of the static orders; the historical
-import path :mod:`repro.framework.scheduler` re-exports everything here.
-The adaptive policies that *choose* among these orders online live in
-:mod:`repro.scheduling.policies`.
+This module is the home of the static orders; :mod:`repro.framework`
+re-exports them.  The adaptive policies that *choose* among these orders
+online live in :mod:`repro.scheduling.policies`.
 """
 
 from __future__ import annotations

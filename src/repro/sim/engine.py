@@ -42,24 +42,18 @@ class Environment:
         self._eid = count()
         self._active_process: Optional[Process] = None
         self._events_processed: int = 0
-        # Optional resilience hook (see repro.resilience.faults).  None in
-        # every ordinary run; the step loop only pays one attribute check.
-        self._fault_injector: Optional[Any] = None
-        # Optional strided integrity probe (see repro.integrity.invariants).
-        # Unset in every ordinary run; the step loop pays one integer
-        # truthiness check and nothing else.  The strided dispatch lives
-        # *inline* here rather than in a per-event callback because a
-        # Python call per event pop costs percents of wall time on
-        # event-dense workloads; an integer countdown costs a fraction
+        # The one optional hook: a strided probe (see
+        # repro.integrity.invariants).  Fault injectors arm themselves
+        # when consulted and tracers ride on the app threads, so neither
+        # needs a slot here.  Unset in every ordinary run; the step loop
+        # pays one integer truthiness check and nothing else.  The strided
+        # dispatch lives *inline* here rather than in a per-event callback
+        # because a Python call per event pop costs percents of wall time
+        # on event-dense workloads; an integer countdown costs a fraction
         # of that.
         self._probe: Optional[Any] = None
         self._probe_stride: int = 0
         self._probe_countdown: int = 0
-        # Optional causal tracer (see repro.telemetry.tracing).  Purely
-        # passive: the step loop never consults it — instrumented layers
-        # reach it through :attr:`tracer` with one attribute check, so an
-        # untraced run is byte-identical to one that never heard of it.
-        self._tracer: Optional[Any] = None
 
     # -- introspection ---------------------------------------------------
 
@@ -88,24 +82,6 @@ class Environment:
         return self._queue[0][0] if self._queue else Infinity
 
     @property
-    def fault_injector(self) -> Optional[Any]:
-        """The attached fault injector, if any (see :mod:`repro.resilience`)."""
-        return self._fault_injector
-
-    def attach_fault_injector(self, injector: Any) -> None:
-        """Install a fault injector on the event loop.
-
-        The injector's ``on_step(now)`` is invoked at every event pop so
-        time-scheduled faults arm exactly when the simulated clock reaches
-        them.  Pass ``None`` to detach.  With no injector attached the run
-        loop behaviour (and therefore every result) is byte-identical to an
-        environment that never heard of fault injection.
-        """
-        if injector is not None and not hasattr(injector, "on_step"):
-            raise TypeError(f"{injector!r} has no on_step(now) hook")
-        self._fault_injector = injector
-
-    @property
     def probe(self) -> Optional[Any]:
         """The installed strided probe, if any (see :mod:`repro.integrity`)."""
         return self._probe
@@ -115,8 +91,7 @@ class Environment:
         event pop.
 
         Used by the integrity subsystem's invariant checker.  The probe
-        runs after the fault injector (so it observes post-fault state)
-        and before event callbacks.  One slot only — a second install
+        runs before event callbacks.  One slot only — a second install
         without :meth:`clear_probe` is a wiring bug and raises.  With no
         probe installed the run loop is byte-identical to one that never
         heard of probes.
@@ -136,22 +111,6 @@ class Environment:
         self._probe = None
         self._probe_stride = 0
         self._probe_countdown = 0
-
-    @property
-    def tracer(self) -> Optional[Any]:
-        """The attached causal tracer, if any (see :mod:`repro.telemetry`)."""
-        return self._tracer
-
-    def attach_tracer(self, tracer: Any) -> None:
-        """Attach a causal tracer so instrumented layers can reach it.
-
-        The event loop itself never calls the tracer — spans are
-        record-complete and written by the waiting layer — so attaching
-        one cannot perturb the calendar.  Pass ``None`` to detach.
-        """
-        if tracer is not None and not hasattr(tracer, "record"):
-            raise TypeError(f"{tracer!r} has no record(...) method")
-        self._tracer = tracer
 
     # -- event factories ---------------------------------------------------
 
@@ -203,8 +162,6 @@ class Environment:
             raise EventError("no scheduled events left") from None
         self._events_processed += 1
 
-        if self._fault_injector is not None:
-            self._fault_injector.on_step(self._now)
         if self._probe_countdown:
             self._probe_countdown -= 1
             if not self._probe_countdown:

@@ -1,15 +1,10 @@
-"""Tests for the launch-order search and the policy bandit."""
+"""Tests for the launch-order search."""
 
 import pytest
 
-from repro.core.autotune import (
-    OBJECTIVES,
-    OrderSearch,
-    PolicyBandit,
-    evaluate_schedule,
-)
+from repro.core.autotune import OBJECTIVES, OrderSearch, evaluate_schedule
 from repro.core.workload import Workload
-from repro.framework.scheduler import SchedulingOrder, all_orders
+from repro.scheduling.orders import all_orders
 
 
 @pytest.fixture
@@ -96,39 +91,3 @@ class TestExhaustive:
         wl = Workload.heterogeneous_pair("nn", "srad", 16, scale="tiny")
         with pytest.raises(ValueError, match="exceed"):
             OrderSearch(wl, num_streams=16).exhaustive(max_sequences=100)
-
-
-class TestPolicyBandit:
-    def test_tries_every_arm_first(self, workload):
-        bandit = PolicyBandit(workload, num_streams=6, seed=0, epsilon=0.0)
-        rounds = bandit.run(5)
-        assert sorted((r.policy for r in rounds), key=str) == sorted(
-            all_orders(), key=str
-        )
-        assert all(r.explored for r in rounds)
-
-    def test_exploits_after_warmup(self, workload):
-        bandit = PolicyBandit(workload, num_streams=6, seed=0, epsilon=0.0)
-        bandit.run(8)
-        exploit_rounds = bandit.rounds[5:]
-        best = bandit.best_policy()
-        assert all(r.policy == best for r in exploit_rounds)
-        assert not any(r.explored for r in exploit_rounds)
-
-    def test_best_policy_minimizes_mean(self, workload):
-        bandit = PolicyBandit(workload, num_streams=6, seed=0, epsilon=0.0)
-        bandit.run(6)
-        best = bandit.best_policy()
-        assert bandit.means[best] == min(
-            bandit.means[p] for p in all_orders() if bandit.counts[p] > 0
-        )
-
-    def test_epsilon_validation(self, workload):
-        with pytest.raises(ValueError):
-            PolicyBandit(workload, 6, epsilon=1.5)
-
-    def test_exploitation_fraction(self, workload):
-        bandit = PolicyBandit(workload, num_streams=6, seed=0, epsilon=0.0)
-        assert bandit.exploitation_fraction() == 0.0
-        bandit.run(7)
-        assert 0.0 < bandit.exploitation_fraction() < 1.0

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.baselines import chunk_profile, symbiosis_admission, wende_schedule
 from repro.framework.kernel import TransferPhase
-from repro.framework.scheduler import SchedulingOrder, make_schedule
 from repro.gpu.block_scheduler import GridState
 from repro.gpu.commands import KernelLaunchCommand
 from repro.gpu.kernels import Dim3, KernelDescriptor
 from repro.gpu.specs import tesla_k20
+from repro.scheduling.orders import SchedulingOrder, make_schedule
 from repro.sim.engine import Environment
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.workload import SCALES, Workload, resolve_scale
-from repro.framework.scheduler import SchedulingOrder
+from repro.scheduling.orders import SchedulingOrder
 
 
 class TestScales:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.framework.scheduler import (
+from repro.scheduling.orders import (
     SchedulingOrder,
     all_orders,
     make_schedule,

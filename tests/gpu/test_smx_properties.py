@@ -89,8 +89,7 @@ def test_smx_occupancy_invariants_under_throttle(workload):
             for start, length, factor in throttle_windows
         ]
     )
-    env.attach_fault_injector(FaultInjector(env, plan))
-    device = GPUDevice(env)
+    device = GPUDevice(env, injector=FaultInjector(env, plan))
     issued = []
 
     for stream_cmds in per_stream:
@@ -137,9 +136,8 @@ def test_throttle_only_stretches_time_not_occupancy(blocks, tpb, factor):
 
     def run(plan):
         env = Environment()
-        if plan is not None:
-            env.attach_fault_injector(FaultInjector(env, plan))
-        device = GPUDevice(env)
+        injector = FaultInjector(env, plan) if plan is not None else None
+        device = GPUDevice(env, injector=injector)
         stream = device.create_stream()
         kd = KernelDescriptor(
             "k", Dim3(blocks), Dim3(tpb),
@@ -149,12 +147,13 @@ def test_throttle_only_stretches_time_not_occupancy(blocks, tpb, factor):
         env.run()
         assert cmd.done.ok
         _check_occupancy(device)
-        return cmd.done.value - cmd.started.value
+        return injector, cmd.done.value - cmd.started.value
 
-    clean = run(None)
-    throttled = run(
+    _, clean = run(None)
+    injector, throttled = run(
         FaultPlan(
             [FaultSpec(FaultKind.DEVICE_THROTTLE, 0.0, duration=1.0, factor=factor)]
         )
     )
-    assert throttled >= clean
+    assert len(injector.records) >= 1
+    assert throttled > clean

@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.runner import ExperimentRunner, RunConfig
 from repro.core.workload import Workload
-from repro.framework.scheduler import SchedulingOrder, all_orders
 from repro.gpu.commands import CopyDirection
+from repro.scheduling.orders import SchedulingOrder, all_orders
 
 
 @pytest.fixture(scope="module")

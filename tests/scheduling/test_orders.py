@@ -1,10 +1,9 @@
-"""The extracted launch-order module and its back-compat re-export."""
+"""The extracted launch-order module and its package re-exports."""
 
 import numpy as np
 import pytest
 
 from repro import scheduling
-from repro.framework import scheduler as legacy
 from repro.scheduling.orders import (
     FIGURE_3,
     SchedulingOrder,
@@ -18,12 +17,6 @@ pytestmark = pytest.mark.scheduling
 
 
 class TestBackCompat:
-    def test_legacy_names_are_the_same_objects(self):
-        assert legacy.SchedulingOrder is SchedulingOrder
-        assert legacy.make_schedule is make_schedule
-        assert legacy.schedule_signature is schedule_signature
-        assert legacy.all_orders is all_orders
-
     def test_package_reexports(self):
         assert scheduling.SchedulingOrder is SchedulingOrder
         assert scheduling.make_schedule is make_schedule
