@@ -37,6 +37,79 @@ def _add_journal_args(
     p.add_argument("--resume", action="store_true", help=resume_help)
 
 
+def _add_traffic_args(
+    p: argparse.ArgumentParser,
+    after_cap=lambda p: None,
+    before_seed=lambda p: None,
+) -> None:
+    """The Poisson traffic, dispatcher and SLO options of ``serve``/``trace``.
+
+    ``after_cap`` and ``before_seed`` add a subcommand's own options at
+    those two places, so ``--help`` lists them where it always has.
+    """
+    p.add_argument("--rate", type=float, default=12000.0,
+                   help="mean arrivals per second")
+    p.add_argument("--duration", type=float, default=0.006,
+                   help="arrival-trace length (simulated seconds)")
+    p.add_argument("--streams", type=int, default=16)
+    p.add_argument("--cap", type=int, default=4,
+                   help="concurrency cap (0 = greedy/unbounded)")
+    after_cap(p)
+    p.add_argument("--slo", type=float, default=4.0,
+                   help="SLO deadline as a multiple of the serial-baseline "
+                   "runtime (0 disables SLOs)")
+    p.add_argument("--slo-jitter", type=float, default=0.1,
+                   help="relative per-job deadline jitter")
+    before_seed(p)
+    p.add_argument("--seed", type=int, default=7)
+
+
+def _traffic(args: argparse.Namespace):
+    """The arrivals and dispatcher an :func:`_add_traffic_args` group asks for."""
+    from .core.streaming import (
+        ConcurrencyCapDispatcher,
+        GreedyDispatcher,
+        poisson_arrivals,
+    )
+
+    arrivals = poisson_arrivals(
+        rate=args.rate,
+        duration=args.duration,
+        type_mix=[("nn", 2), ("needle", 1)],
+        seed=args.seed,
+    )
+    dispatcher = (
+        ConcurrencyCapDispatcher(args.cap) if args.cap > 0
+        else GreedyDispatcher()
+    )
+    return arrivals, dispatcher
+
+
+def _serve_queue_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--qdepth", type=int, default=8,
+                   help="admission queue depth (0 = unbounded)")
+    p.add_argument("--qpolicy", default="shed-oldest",
+                   choices=("block", "reject", "shed-oldest"),
+                   help="backpressure policy when the queue is full")
+
+
+def _serve_fault_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--no-shed", action="store_true",
+                   help="keep jobs whose deadline is already unreachable")
+    p.add_argument("--breaker", type=int, default=0,
+                   help="consecutive faults that open an app type's circuit "
+                   "breaker (0 disables breakers)")
+    p.add_argument("--breaker-cooldown", type=float, default=None,
+                   help="seconds an open breaker waits before its half-open "
+                   "probe (default: duration/10)")
+    p.add_argument("--launch-fails", type=float, default=0.0,
+                   help="expected transient launch failures over the run")
+    p.add_argument("--crash-at", type=float, default=None,
+                   help="kill the harness at this simulated time "
+                   "(exercise the journal)")
+    _add_journal_args(p, "crash-safe JSONL outcome journal path")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for the docs and tests)."""
     parser = argparse.ArgumentParser(
@@ -129,38 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="overload-resilient serving: bounded admission, SLO shedding, "
         "breakers, crash-safe journal",
     )
-    p.add_argument("--rate", type=float, default=12000.0,
-                   help="mean arrivals per second")
-    p.add_argument("--duration", type=float, default=0.006,
-                   help="arrival-trace length (simulated seconds)")
-    p.add_argument("--streams", type=int, default=16)
-    p.add_argument("--cap", type=int, default=4,
-                   help="concurrency cap (0 = greedy/unbounded)")
-    p.add_argument("--qdepth", type=int, default=8,
-                   help="admission queue depth (0 = unbounded)")
-    p.add_argument("--qpolicy", default="shed-oldest",
-                   choices=("block", "reject", "shed-oldest"),
-                   help="backpressure policy when the queue is full")
-    p.add_argument("--slo", type=float, default=4.0,
-                   help="SLO deadline as a multiple of the serial-baseline "
-                   "runtime (0 disables SLOs)")
-    p.add_argument("--slo-jitter", type=float, default=0.1,
-                   help="relative per-job deadline jitter")
-    p.add_argument("--no-shed", action="store_true",
-                   help="keep jobs whose deadline is already unreachable")
-    p.add_argument("--breaker", type=int, default=0,
-                   help="consecutive faults that open an app type's circuit "
-                   "breaker (0 disables breakers)")
-    p.add_argument("--breaker-cooldown", type=float, default=None,
-                   help="seconds an open breaker waits before its half-open "
-                   "probe (default: duration/10)")
-    p.add_argument("--launch-fails", type=float, default=0.0,
-                   help="expected transient launch failures over the run")
-    p.add_argument("--crash-at", type=float, default=None,
-                   help="kill the harness at this simulated time "
-                   "(exercise the journal)")
-    _add_journal_args(p, "crash-safe JSONL outcome journal path")
-    p.add_argument("--seed", type=int, default=7)
+    _add_traffic_args(
+        p, after_cap=_serve_queue_args, before_seed=_serve_fault_args
+    )
 
     p = sub.add_parser(
         "schedule",
@@ -315,19 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="causal tracing: per-app critical paths, SLO burn-rate "
         "alerts, Chrome/OTLP span export",
     )
-    p.add_argument("--rate", type=float, default=12000.0,
-                   help="mean arrivals per second")
-    p.add_argument("--duration", type=float, default=0.006,
-                   help="arrival-trace length (simulated seconds)")
-    p.add_argument("--streams", type=int, default=16)
-    p.add_argument("--cap", type=int, default=4,
-                   help="concurrency cap (0 = greedy/unbounded)")
-    p.add_argument("--slo", type=float, default=4.0,
-                   help="SLO deadline as a multiple of the serial-baseline "
-                   "runtime (0 disables SLOs)")
-    p.add_argument("--slo-jitter", type=float, default=0.1,
-                   help="relative per-job deadline jitter")
-    p.add_argument("--seed", type=int, default=7)
+    _add_traffic_args(p)
     p.add_argument("--top", type=int, default=5,
                    help="how many slowest traces to break down")
     p.add_argument("--burn-budget", type=float, default=0.05,
@@ -1040,11 +1072,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             to_chrome_trace,
             top_slowest,
         )
-        from .core.streaming import (
-            ConcurrencyCapDispatcher,
-            GreedyDispatcher,
-            poisson_arrivals,
-        )
         from .serving import ServingConfig, run_serving
         from .sim.trace import TraceRecorder
         from .telemetry import (
@@ -1054,20 +1081,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             write_otlp_jsonl,
         )
 
-        arrivals = poisson_arrivals(
-            rate=args.rate,
-            duration=args.duration,
-            type_mix=[("nn", 2), ("needle", 1)],
-            seed=args.seed,
-        )
+        arrivals, dispatcher = _traffic(args)
         config = ServingConfig(
             slo_factor=args.slo,
             slo_jitter=args.slo_jitter,
             seed=args.seed,
-        )
-        dispatcher = (
-            ConcurrencyCapDispatcher(args.cap) if args.cap > 0
-            else GreedyDispatcher()
         )
         tracing = Tracing(
             seed=args.seed,
@@ -1207,22 +1225,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "serve":
-        from .core.streaming import (
-            ConcurrencyCapDispatcher,
-            GreedyDispatcher,
-            poisson_arrivals,
-        )
         from .resilience import FaultPlan
         from .resilience.faults import FaultKind, FaultSpec
         from .serving import BreakerConfig, ServingConfig, run_serving
         from .sim.errors import HarnessCrash
 
-        arrivals = poisson_arrivals(
-            rate=args.rate,
-            duration=args.duration,
-            type_mix=[("nn", 2), ("needle", 1)],
-            seed=args.seed,
-        )
+        arrivals, dispatcher = _traffic(args)
         faults = []
         if args.launch_fails > 0:
             faults.extend(
@@ -1252,10 +1260,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             breaker=breaker,
             plan=FaultPlan(faults) if faults else None,
             seed=args.seed,
-        )
-        dispatcher = (
-            ConcurrencyCapDispatcher(args.cap) if args.cap > 0
-            else GreedyDispatcher()
         )
         try:
             result = run_serving(

@@ -23,14 +23,13 @@ HarnessResult` that :class:`~repro.core.runner.RunResult` reads.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..framework.kernel import KernelApp
 from ..framework.metrics import AppRecord, makespan
 from ..gpu.specs import DeviceSpec
+from ..integrity.record import fingerprint
 from ..resilience.budget import RetryBudget, unfinishable
 from ..resilience.degradation import ConcurrencyLimiter
 from ..resilience.faults import FaultPlan
@@ -288,8 +287,7 @@ def _fleet_fingerprint(
         payload["deadlines"] = sorted(
             [app_id, float(t)] for app_id, t in deadlines.items()
         )
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha1(blob).hexdigest()
+    return fingerprint(payload)
 
 
 class FleetHarness:
@@ -344,7 +342,7 @@ class FleetHarness:
     def run(self) -> FleetResult:
         """Build the fleet, run the schedule to completion, measure."""
         from ..integrity.fencing import FencedJournal, GenerationFence
-        from ..serving.journal import JournalMismatchError, RunJournal
+        from ..serving.journal import RunJournal
 
         fleet = self.fleet
         env = Environment()
@@ -365,19 +363,21 @@ class FleetHarness:
         recovered = 0
         if self.journal_path is not None:
             journal = RunJournal(self.journal_path)
-            fingerprint = _fleet_fingerprint(
-                self.apps,
-                fleet,
-                self.num_streams,
-                self.memory_sync,
-                self.copy_policy,
-                registry.spec,
-                self.power_interval,
-                self.plan,
-                self.seed,
-                self.deadlines,
+            recovered = journal.begin(
+                _fleet_fingerprint(
+                    self.apps,
+                    fleet,
+                    self.num_streams,
+                    self.memory_sync,
+                    self.copy_policy,
+                    registry.spec,
+                    self.power_interval,
+                    self.plan,
+                    self.seed,
+                    self.deadlines,
+                ),
+                resume=self.resume,
             )
-            recovered = journal.begin(fingerprint, resume=self.resume)
 
         # All fleet journaling goes through the fence: checkpoint writes
         # present their bind-time token, coordinator/terminal records pass
@@ -841,21 +841,14 @@ class FleetHarness:
             env.run(until=done)
         except HarnessCrash as crash:
             if journal is not None:
-                journal.mark_crash(crash.time)
-                journal.close()
+                journal.crash(crash.time)
             raise
         env.run()  # settle same-time trailing events
         if telemetry is not None:
             telemetry.finalize()
 
         if journal is not None:
-            if journal.pending:
-                raise JournalMismatchError(
-                    f"resumed run settled only "
-                    f"{journal.verified}/{journal.recovered} journaled "
-                    "entries; the journal belongs to a longer run"
-                )
-            journal.close()
+            journal.finish()
 
         if tracer is not None:
             for record in records:

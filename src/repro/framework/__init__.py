@@ -54,7 +54,7 @@ from .metrics import (
 )
 from .power_monitor import DEFAULT_INTERVAL, PowerMonitor, PowerSample
 from .stream import Stream
-from .stream_manager import ASSIGNMENT_POLICIES, StreamManager
+from .stream_manager import StreamManager
 from .sync import NullSynchronizer, TransferSynchronizer, make_synchronizer
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "TABLE_II",
     "Stream",
     "StreamManager",
-    "ASSIGNMENT_POLICIES",
     "TransferSynchronizer",
     "NullSynchronizer",
     "make_synchronizer",

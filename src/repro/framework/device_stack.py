@@ -58,7 +58,6 @@ class DeviceStack:
         trace: Optional[TraceRecorder] = None,
         copy_policy: str = "interleave",
         admission=None,
-        stream_policy: str = "round-robin",
         power_interval: float = DEFAULT_INTERVAL,
     ) -> None:
         self.env = env
@@ -75,9 +74,7 @@ class DeviceStack:
             admission=admission,
             injector=self.injector,
         )
-        self.manager = StreamManager(
-            env, self.gpu, num_streams, policy=stream_policy
-        )
+        self.manager = StreamManager(env, self.gpu, num_streams)
         self.synchronizer = make_synchronizer(env, memory_sync)
         self.monitor = PowerMonitor(
             env, self.gpu, interval=power_interval, injector=self.injector

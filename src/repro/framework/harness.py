@@ -91,10 +91,8 @@ class HarnessConfig:
     copy_policy: str = "interleave"
     record_trace: bool = False
     power_interval: float = DEFAULT_INTERVAL
-    monitor_power: bool = True
     spawn_jitter: float = 0.0
     seed: int = 0
-    stream_policy: str = "round-robin"
     #: Optional grid-engine admission hook (symbiosis baseline); None = LEFTOVER.
     admission: object = None
     resilience: Optional[ResilienceConfig] = None
@@ -202,7 +200,6 @@ class TestHarness:
             trace=trace,
             copy_policy=cfg.copy_policy,
             admission=cfg.admission,
-            stream_policy=cfg.stream_policy,
             power_interval=cfg.power_interval,
         )
         device = stack.gpu
@@ -293,8 +290,7 @@ class TestHarness:
 
             # Then start the power-monitor thread and launch each
             # application on its own child thread, in schedule order.
-            if cfg.monitor_power:
-                monitor.start()
+            monitor.start()
             if telemetry is not None:
                 telemetry.start()
             children = []

@@ -1,16 +1,20 @@
 """State-integrity subsystem: trusted persistence for every stateful layer.
 
-Three independent persistence paths grew up around the reproduction — the
-serving layer's :class:`~repro.serving.journal.RunJournal`, the fleet
-layer's :class:`~repro.fleet.checkpoint.AppCheckpoint` stream, and the
-batch scheduler's decision journal.  All three promise *byte-identical
-resume*, but until this subsystem existed the promise was only asserted by
-tests: a torn write, a stale checkpoint replayed after a failover, or a
-silently flipped byte would be consumed without complaint.  This package
-defends the promise at runtime:
+Every crash-safe store in the reproduction is one
+:class:`~repro.serving.journal.RunJournal` with its own header: the
+serving outcome journal, the burn-rate alert journal, the fleet
+checkpoint/failover journal (plain, hedged and cascade runs write
+different record types into it), the batch scheduler's decision journal
+and the traffic recorder's cursor sidecar.  All of them promise
+*byte-identical resume* and end a run the same way (``finish()`` refuses
+a journal longer than the replay, ``crash(time)`` leaves a durable
+marker).  A torn write, a stale checkpoint replayed after a failover, or
+a silently flipped byte must not be consumed without complaint; this
+package defends the promise at runtime:
 
 * :mod:`~repro.integrity.record` — a versioned, per-record checksummed
-  envelope format shared by every journal, plus a recovery scanner that
+  envelope format shared by every journal, the sha1 ``fingerprint``
+  every journal header binds its run by, plus a recovery scanner that
   detects torn tails and mid-file corruption, truncates to the last valid
   prefix, quarantines the bad bytes to a sidecar file and reports a typed
   :class:`~repro.integrity.record.RecoveryReport`.
@@ -28,8 +32,8 @@ defends the promise at runtime:
   bytes) and asserts that resume is byte-identical or cleanly truncated.
 
 Layering: the package sits beside :mod:`repro.resilience`, directly on
-:mod:`repro.sim`; the stateful layers above (serving, fleet, scheduling)
-consume it, nothing below imports it.  See ``docs/integrity.md``.
+:mod:`repro.sim`; the stateful layers above (serving, fleet, scheduling,
+workload) consume it, nothing below imports it.  See ``docs/integrity.md``.
 """
 
 from .record import (
@@ -43,6 +47,7 @@ from .record import (
     decode_line,
     encode_line,
     clock_regressions,
+    fingerprint,
     recover_file,
     scan_file,
     sniff_format,
@@ -91,6 +96,7 @@ __all__ = [
     "encode_line",
     "enumerate_flips",
     "enumerate_truncations",
+    "fingerprint",
     "mutate",
     "recover_file",
     "run_crash_sweep",

@@ -32,13 +32,15 @@ bytes to a ``<path>.quarantine`` sidecar (nothing is silently destroyed),
 and reports what it did in a typed :class:`RecoveryReport`.
 
 Marker records (payloads carrying :data:`MARKER_KEY`, e.g. the crash
-marker the serving layer appends when a run dies) are part of the valid
-prefix but are *not* entries: they are dropped on rewrite so a resumed
-journal converges to the uninterrupted run's bytes.
+marker :meth:`repro.serving.journal.RunJournal.crash` appends when a run
+dies) are part of the valid prefix but are *not* entries: they are
+dropped on rewrite so a resumed journal converges to the uninterrupted
+run's bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import zlib
@@ -56,6 +58,7 @@ __all__ = [
     "RecoveryReport",
     "encode_line",
     "decode_line",
+    "fingerprint",
     "sniff_format",
     "scan_file",
     "recover_file",
@@ -98,6 +101,16 @@ def encode_line(payload: Dict, seq: int) -> str:
     """One payload -> one envelope line (trailing newline included)."""
     body = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return f"{ENVELOPE_PREFIX} {seq:08x} {_crc(seq, body):08x} {body}\n"
+
+
+def fingerprint(payload) -> str:
+    """sha1 of ``payload`` as sorted-key JSON: a configuration's identity.
+
+    Journal and trace headers carry this hash of the configuration that
+    produced them, so a resume against a different run is refused.
+    """
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return hashlib.sha1(blob).hexdigest()
 
 
 def decode_line(raw: bytes, expected_seq: Optional[int] = None) -> Dict:

@@ -12,7 +12,9 @@ Decisions and observations are journaled through the serving layer's
 :class:`~repro.serving.journal.RunJournal`: a crashed batch-serving run
 resumed against its journal replays every decision and *verifies* it
 byte-identically against the recorded prefix — divergence (changed seed,
-code, or policy) raises instead of silently re-deciding differently.
+code, or policy) raises instead of silently re-deciding differently, and
+:meth:`BatchScheduler.finish` refuses a resume that stopped short of the
+journal's end.
 
 Per-device policy state: a fleet shares one scheduler, but each device id
 gets its own policy instance (its own bandit arms), because makespans
@@ -21,12 +23,11 @@ measured on one device's queue say nothing about another's backlog.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..integrity.record import fingerprint
 from .characterize import WorkloadCharacterizer
 from .policies import (
     BatchContext,
@@ -100,8 +101,7 @@ class SchedulerConfig:
             },
             "salt": self.salt,
         }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha1(blob).hexdigest()
+        return fingerprint(payload)
 
 
 class BatchScheduler:
@@ -114,7 +114,9 @@ class BatchScheduler:
         ... run the batch with decision.schedule / decision.memory_sync ...
         sched.observe(decision, measured_makespan)
 
-    The scheduler is a context manager; exiting closes the journal.
+    End a journaled run with :meth:`finish` (it completed) or
+    :meth:`crash` (it died).  The scheduler is also a context manager;
+    exiting closes the journal without the end-of-run check.
     """
 
     def __init__(self, config: Optional[SchedulerConfig] = None) -> None:
@@ -308,15 +310,20 @@ class BatchScheduler:
             return len(self.decisions)
         return self._decision_counts.get(device, 0)
 
-    def mark_crash(self, time: float) -> None:
-        """Stamp a durable crash marker in the decision journal (no-op
-        without one); see :meth:`repro.serving.journal.RunJournal.
-        mark_crash`."""
+    def finish(self) -> None:
+        """End a completed run: see :meth:`repro.serving.journal.
+        RunJournal.finish` (no-op without a journal)."""
         if self._journal is not None:
-            self._journal.mark_crash(time)
+            self._journal.finish()
+
+    def crash(self, time: float) -> None:
+        """End a run that died at ``time``: see :meth:`repro.serving.
+        journal.RunJournal.crash` (no-op without a journal)."""
+        if self._journal is not None:
+            self._journal.crash(time)
 
     def close(self) -> None:
-        """Close the journal (idempotent)."""
+        """Close the journal without the end-of-run check (idempotent)."""
         if self._journal is not None:
             self._journal.close()
 

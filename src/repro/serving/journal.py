@@ -1,13 +1,21 @@
-"""Crash-safe run journaling for the serving layer.
+"""Crash-safe journaling: the one journal class every store uses.
 
 The journal is a line-oriented file of checksummed **envelope records**
-(see :mod:`repro.integrity.record`): one header record identifying the
-run configuration (by fingerprint), then one record per *terminal job
-outcome*, appended in commit order.  Each append is flushed and fsynced
-before :meth:`RunJournal.record` returns, and file creation / atomic
-rewrite is followed by a directory fsync — the durability contract is
-"when record() returns, the OS has the bytes *and* the name", so the
+(see :mod:`repro.integrity.record`): one header record naming the
+store's format and version and binding the run configuration by
+fingerprint, then one record per committed entry, appended in commit
+order.  Each append is flushed and fsynced before
+:meth:`RunJournal.record` returns, and file creation / atomic rewrite is
+followed by a directory fsync — the durability contract is "when
+record() returns, the OS has the bytes *and* the name", so the
 crash-point fuzzing harness tests what a real SIGKILL would leave behind.
+
+Every crash-safe store in the repo is a :class:`RunJournal` that differs
+only in its header and its entries: the serving outcome journal, the
+burn-rate alert journal, the fleet checkpoint/failover journal and the
+batch scheduler's decision journal (all format
+:data:`JOURNAL_FORMAT`), and the traffic recorder's cursor sidecar
+(:data:`repro.workload.trace.CURSOR_FORMAT`).
 
 Because every record carries a CRC-32 and its file sequence number,
 recovery is no longer limited to "one torn trailing line": a tail cut
@@ -20,13 +28,20 @@ recovery`).
 
 **Resume is replay.**  The simulation is deterministic, so the cheapest
 *and* safest recovery is to re-execute the run from the start and *verify*
-each recomputed outcome against the journaled prefix instead of appending
-it; once the prefix is exhausted, new outcomes append as usual.  The
+each recomputed entry against the journaled prefix instead of appending
+it; once the prefix is exhausted, new entries append as usual.  The
 resumed run therefore produces byte-identical results to an uninterrupted
 run, and any divergence (changed code, edited journal, wrong config) is
 caught as a :class:`JournalMismatchError` rather than silently corrupting
 the log.  The fingerprint check makes "resumed against the wrong run"
 a first-class error, not a garbage result.
+
+**One end-of-run protocol.**  A run that completes calls
+:meth:`RunJournal.finish`, which raises :class:`JournalMismatchError`
+when the journal holds recovered entries the replay never re-verified
+(it belongs to a longer run); a run that dies calls
+:meth:`RunJournal.crash`, which appends a durable crash marker.  Both
+close the file.
 
 Pre-envelope (version 1) journals — plain JSONL — are detected by format
 sniffing and read through a compat path; resuming one rewrites it in
@@ -76,27 +91,22 @@ class JournalMismatchError(JournalError):
     """A resumed run diverged from (or does not belong to) its journal."""
 
 
-def _canonical(entry: Dict) -> Dict:
-    """Round-trip an entry through JSON so comparisons see what disk sees.
-
-    ``json`` serializes floats with ``repr`` and parses them back exactly,
-    so a recomputed entry equals its journaled form iff the underlying
-    values are bit-identical.
-    """
-    return json.loads(json.dumps(entry, sort_keys=True))
-
-
 class RunJournal:
-    """Append-only checksummed outcome log with replay-verified resume.
+    """Append-only checksummed entry log with replay-verified resume.
 
-    Lifecycle: construct with a path, :meth:`begin` (fresh or resuming),
-    feed every terminal outcome through :meth:`record`, :meth:`close`.
-    The object is the ``journal`` duck type consumed by
-    :class:`~repro.core.streaming.ServingHooks`.
+    Lifecycle: construct with a path (and the header's ``format`` name
+    and ``version``), :meth:`begin` (fresh or resuming), feed every entry
+    through :meth:`record`, then end the run with :meth:`finish` (it
+    completed) or :meth:`crash` (it died).  The object is the ``journal``
+    duck type consumed by :class:`~repro.core.streaming.ServingHooks`.
     """
 
-    def __init__(self, path) -> None:
+    def __init__(
+        self, path, format: str = JOURNAL_FORMAT, version: int = JOURNAL_VERSION
+    ) -> None:
         self.path = Path(path)
+        self.format = format
+        self.version = version
         self._fh = None
         self._seq = 0
         self._pending: Deque[Dict] = deque()
@@ -116,12 +126,13 @@ class RunJournal:
     def begin(self, fingerprint: str, resume: bool = False) -> int:
         """Open the journal; returns the number of recovered entries.
 
-        Fresh runs truncate and write the header.  Resumed runs scan the
-        existing file, check its fingerprint against this run's
-        configuration, truncate to the last valid prefix (quarantining
-        anything after it — a torn tail or flipped byte), and queue the
-        surviving entries for replay verification.
+        Fresh runs write the header over whatever was at the path.
+        Resumed runs scan the existing file, check its fingerprint against
+        this run's configuration, truncate to the last valid prefix
+        (quarantining anything after it — a torn tail or flipped byte),
+        and queue the surviving entries for replay verification.
         """
+        entries: List[Dict] = []
         if resume:
             header, entries = self._load(repair=True)
             if header.get("fingerprint") != fingerprint:
@@ -132,37 +143,26 @@ class RunJournal:
                 )
             self._pending = deque(entries)
             self.recovered = len(entries)
-            # Rewrite header + surviving entries in envelope form so torn
-            # bytes, markers and any legacy formatting are gone before we
-            # start appending again.
-            header = {
-                "format": JOURNAL_FORMAT,
-                "version": JOURNAL_VERSION,
-                "fingerprint": fingerprint,
-            }
-            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(encode_line(header, 0))
-                for seq, entry in enumerate(entries, start=1):
-                    fh.write(encode_line(entry, seq))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            fsync_dir(self.path)
-            self._seq = len(entries) + 1
         else:
-            header = {
-                "format": JOURNAL_FORMAT,
-                "version": JOURNAL_VERSION,
-                "fingerprint": fingerprint,
-            }
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(encode_line(header, 0))
-                fh.flush()
-                os.fsync(fh.fileno())
-            fsync_dir(self.path)
-            self._seq = 1
+        # Write header + surviving entries in envelope form, atomically,
+        # so torn bytes, markers and any legacy formatting are gone before
+        # we start appending again.
+        header = {
+            "format": self.format,
+            "version": self.version,
+            "fingerprint": fingerprint,
+        }
+        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(encode_line(header, 0))
+            for seq, entry in enumerate(entries, start=1):
+                fh.write(encode_line(entry, seq))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, self.path)
+        fsync_dir(self.path)
+        self._seq = len(entries) + 1
         self._fh = open(self.path, "a", encoding="utf-8")
         return self.recovered
 
@@ -170,21 +170,23 @@ class RunJournal:
         """Scan the file; with ``repair`` also quarantine invalid bytes.
 
         Returns the header payload and the surviving entries (markers
-        excluded), leaving the scan report in :attr:`recovery`.  Raises
+        excluded); a ``repair`` scan leaves its report in
+        :attr:`recovery`.  Raises
         :class:`JournalError` when the file is absent, empty, of an
         unknown format, or carries the wrong header.
         """
         try:
-            header, entries, report, prefix = scan_file(self.path)
+            header, entries, report, _ = scan_file(self.path)
         except FileNotFoundError:
             raise JournalError(
                 f"cannot resume: journal {self.path} does not exist"
             ) from None
         except UnknownJournalFormat as exc:
             raise JournalError(
-                f"{self.path} is not a {JOURNAL_FORMAT} file: {exc}"
+                f"{self.path} is not a {self.format} file: {exc}"
             ) from None
-        self.recovery = report
+        if repair:
+            self.recovery = report
         if report.format == "legacy" and report.mid_file_corruption:
             # Legacy lines carry no checksum, so a bad line mid-file
             # cannot be blamed on a crash: refuse rather than guess which
@@ -199,15 +201,13 @@ class RunJournal:
             raise JournalError(
                 f"journal {self.path} has a corrupt header line"
             )
-        if header.get("format") != JOURNAL_FORMAT:
-            raise JournalError(f"{self.path} is not a {JOURNAL_FORMAT} file")
-        if header.get("version") not in (
-            JOURNAL_VERSION, LEGACY_JOURNAL_VERSION
-        ):
+        if header.get("format") != self.format:
+            raise JournalError(f"{self.path} is not a {self.format} file")
+        if header.get("version") not in (self.version, LEGACY_JOURNAL_VERSION):
             raise JournalError(
                 f"journal {self.path} has unsupported version "
                 f"{header.get('version')!r} (this build reads versions "
-                f"{LEGACY_JOURNAL_VERSION} and {JOURNAL_VERSION})"
+                f"{LEGACY_JOURNAL_VERSION} and {self.version})"
             )
         if repair and report.quarantined_bytes:
             data = self.path.read_bytes()
@@ -219,15 +219,18 @@ class RunJournal:
     # -- engine-facing surface --------------------------------------------
 
     def record(self, entry: Dict) -> None:
-        """Commit one terminal outcome.
+        """Commit one entry.
 
-        During replay of a resumed run this *verifies* the outcome against
+        During replay of a resumed run this *verifies* the entry against
         the journaled prefix instead of appending; past the prefix it
         appends one fsynced envelope record.
         """
         if self._fh is None:
             raise JournalError("journal used before begin() / after close()")
-        entry = _canonical(entry)
+        # A JSON round trip, so the comparison sees what disk sees: floats
+        # serialize with ``repr`` and parse back exactly, so a recomputed
+        # entry equals its journaled form iff the values are bit-identical.
+        entry = json.loads(json.dumps(entry, sort_keys=True))
         if self._pending:
             prior = self._pending.popleft()
             if prior != entry:
@@ -241,18 +244,17 @@ class RunJournal:
         self._append(entry)
         self.appended += 1
 
-    def mark_crash(self, time: float) -> None:
-        """Durably note that the run is dying (best effort, idempotent).
+    def fast_forward(self, n: int) -> None:
+        """Accept the first ``n`` recovered entries without re-verifying.
 
-        The marker is an envelope record like any other — fsynced before
-        the crash propagates — but it is *not* an entry: :meth:`entries`
-        filters it and the resume rewrite drops it, so a resumed journal
-        still converges to the uninterrupted run's bytes.
+        For a resume that restarts *past* those entries (the traffic
+        recorder restores its generator from a cursor), so they can never
+        be re-emitted.  Entries beyond ``n`` stay pending and must still
+        replay-verify.
         """
-        if self._fh is None:
-            return
-        self._append({MARKER_KEY: "crash", "t": float(time)})
-        self.markers += 1
+        for _ in range(n):
+            self._pending.popleft()
+        self.verified += n
 
     def _append(self, payload: Dict) -> None:
         self._fh.write(encode_line(payload, self._seq))
@@ -260,12 +262,41 @@ class RunJournal:
         os.fsync(self._fh.fileno())
         self._seq += 1
 
-    # -- teardown ----------------------------------------------------------
+    # -- end of run --------------------------------------------------------
 
     @property
     def pending(self) -> int:
         """Recovered entries not yet re-verified by the replay."""
         return len(self._pending)
+
+    def finish(self) -> None:
+        """Close the journal of a run that completed.
+
+        Raises :class:`JournalMismatchError` (after closing) when the
+        replay never re-verified some recovered entries: the journal
+        belongs to a longer run.
+        """
+        unverified = len(self._pending)
+        self.close()
+        if unverified:
+            raise JournalMismatchError(
+                f"resumed run re-verified only {self.verified}/"
+                f"{self.recovered} entries of journal {self.path}; the "
+                "journal belongs to a longer run"
+            )
+
+    def crash(self, time: float) -> None:
+        """Durably note that the run is dying at ``time``, then close.
+
+        The marker is an envelope record like any other — fsynced before
+        the crash propagates — but it is *not* an entry: :meth:`entries`
+        filters it and the resume rewrite drops it, so a resumed journal
+        still converges to the uninterrupted run's bytes.  Idempotent.
+        """
+        if self._fh is not None:
+            self._append({MARKER_KEY: "crash", "t": float(time)})
+            self.markers += 1
+        self.close()
 
     def close(self) -> None:
         """Flush and release the file handle (idempotent)."""

@@ -24,8 +24,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
@@ -44,12 +42,13 @@ from ..core.streaming import (
 from ..core.workload import resolve_scale
 from ..framework.metrics import deadline_met_count
 from ..gpu.specs import DeviceSpec
+from ..integrity.record import fingerprint as sha1_fingerprint
 from ..resilience.faults import FaultKind, FaultPlan
 from ..sim.errors import HarnessCrash
 from .breaker import CircuitBreakerPanel
 from .config import ServingConfig
 from .fleet_gate import FleetCapacityGate
-from .journal import JournalMismatchError, RunJournal
+from .journal import RunJournal
 
 __all__ = [
     "ServingResult",
@@ -249,8 +248,7 @@ def _fingerprint(
             config.breaker.slow_start_interval,
             config.breaker.slow_start_steps,
         ]
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha1(blob).hexdigest()
+    return sha1_fingerprint(payload)
 
 
 def _compute_deadlines(
@@ -422,17 +420,14 @@ def run_serving(
                 config,
                 baselines,
             )
-        alert_fpr = hashlib.sha1(
-            json.dumps(
-                {
-                    "run": run_fpr,
-                    "budget": burn.budget,
-                    "windows": [list(w) for w in burn.windows],
-                    "min_events": burn.min_events,
-                },
-                sort_keys=True,
-            ).encode("utf-8")
-        ).hexdigest()
+        alert_fpr = sha1_fingerprint(
+            {
+                "run": run_fpr,
+                "budget": burn.budget,
+                "windows": [list(w) for w in burn.windows],
+                "min_events": burn.min_events,
+            }
+        )
         alert_journal = RunJournal(tracing.alert_journal)
         alert_journal.begin(alert_fpr, resume=resume)
         fence = GenerationFence()
@@ -468,6 +463,7 @@ def run_serving(
         front_door=front_door,
     )
 
+    journals = [j for j in (journal, alert_journal) if j is not None]
     try:
         base = run_streaming(
             arrivals,
@@ -482,30 +478,13 @@ def run_serving(
             tracing=tracing,
         )
     except HarnessCrash as crash:
-        # The journal holds everything committed before the crash; stamp
-        # a durable crash marker and leave it on disk for the resume.
-        if journal is not None:
-            journal.mark_crash(crash.time)
-            journal.close()
-        if alert_journal is not None:
-            alert_journal.mark_crash(crash.time)
-            alert_journal.close()
+        # The journals hold everything committed before the crash; stamp
+        # a durable crash marker and leave them on disk for the resume.
+        for j in journals:
+            j.crash(crash.time)
         raise
-    if journal is not None:
-        if journal.pending:
-            raise JournalMismatchError(
-                f"resumed run settled only "
-                f"{journal.verified}/{journal.recovered} journaled entries; "
-                "the journal belongs to a longer run"
-            )
-        journal.close()
-    if alert_journal is not None:
-        if alert_journal.pending:
-            raise JournalMismatchError(
-                "resumed run did not re-emit every journaled alert record; "
-                "the alert journal belongs to a longer run"
-            )
-        alert_journal.close()
+    for j in journals:
+        j.finish()
 
     if sink is not None:
         outcomes = dict(sink.outcomes)
@@ -644,7 +623,10 @@ def run_batched_serving(
 
     Pass a prebuilt ``scheduler`` (:class:`repro.scheduling.BatchScheduler`)
     to share learning state across calls; otherwise one is built from
-    ``scheduler_config`` or the keyword arguments.
+    ``scheduler_config`` or the keyword arguments.  Only a scheduler built
+    here is finished when the run completes (a resume shorter than its
+    journal raises :class:`~repro.serving.journal.JournalMismatchError`);
+    a crash ends the journal of either kind with a crash marker.
     """
     from ..framework.harness import HarnessConfig, TestHarness
     from ..scheduling import BatchScheduler, SchedulerConfig
@@ -659,11 +641,7 @@ def run_batched_serving(
     own_scheduler = scheduler is None
     if own_scheduler:
         if scheduler_config is None:
-            digest = hashlib.sha1(
-                json.dumps(
-                    [w.types for w in workloads], sort_keys=True
-                ).encode("utf-8")
-            ).hexdigest()
+            digest = sha1_fingerprint([w.types for w in workloads])
             scheduler_config = SchedulerConfig(
                 policy=policy,
                 seed=seed,
@@ -742,12 +720,10 @@ def run_batched_serving(
     except HarnessCrash as crash:
         # Decisions/observations up to the crash are on disk; stamp the
         # crash marker and leave the journal for the resume.
-        scheduler.mark_crash(crash.time)
-        if own_scheduler:
-            scheduler.close()
+        scheduler.crash(crash.time)
         raise
     if own_scheduler:
-        scheduler.close()
+        scheduler.finish()
 
     return BatchedServingResult(
         policy=sched_policy,

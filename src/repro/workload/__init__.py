@@ -36,7 +36,6 @@ from .tenants import TenantClass, TenantModel, TrafficStream
 from .trace import (
     CURSOR_FORMAT,
     TRACE_FORMAT,
-    CursorStore,
     TraceError,
     TraceReader,
     arrival_payload,
@@ -51,7 +50,6 @@ __all__ = [
     "BatchedTrafficResult",
     "BuiltScenario",
     "CURSOR_FORMAT",
-    "CursorStore",
     "DEFAULT_CHUNK",
     "DiurnalProcess",
     "LogNormalProcess",

@@ -20,12 +20,11 @@ diurnal swing, and sustained overload.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..gpu.specs import DeviceSpec
+from ..integrity.record import fingerprint
 from .arrivals import ArrivalSpec
 from .tenants import TenantClass, TenantModel
 from .trace import TRACE_VERSION
@@ -180,8 +179,7 @@ class BuiltScenario:
         }
         if extra:
             payload["extra"] = dict(extra)
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha1(blob).hexdigest()
+        return fingerprint(payload)
 
 
 def _interactive(weight: float, spec: ArrivalSpec, **kwargs) -> TenantClass:

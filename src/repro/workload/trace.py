@@ -15,26 +15,28 @@ deadline, ``p`` priority.  JSON floats round-trip exactly, so a recorded
 trace re-streams **byte-identical** arrivals to inline generation — the
 equivalence :mod:`tests.workload` pins end-to-end on serving journals.
 
-**Recording is crash-safe** via a cursor sidecar (its own small envelope
-journal): every ``cursor_every`` arrivals the trace file is fsynced and
-one cursor record — arrival count, byte offset, the generator's O(1)
-:meth:`~repro.workload.tenants.TrafficStream.state` — is durably
-appended.  :func:`record_trace` with ``resume=True`` then restores the
-newest usable cursor (truncating any torn trace tail past it) and
-continues generating, never replaying or skipping an arrival; when the
-trace prefix itself is unusable it falls back to full regeneration with
-every surviving cursor record replay-verified, RunJournal-style.  Either
-way the finished files are byte-identical to an uninterrupted
-recording's.
+**Recording is crash-safe** via a cursor sidecar, a
+:class:`~repro.serving.journal.RunJournal` with the
+:data:`CURSOR_FORMAT` header: every ``cursor_every`` arrivals the trace
+file is fsynced and one cursor record — arrival count, byte offset, the
+generator's O(1) :meth:`~repro.workload.tenants.TrafficStream.state` —
+is durably appended.  :func:`record_trace` with ``resume=True`` then
+restores the newest usable cursor (truncating any torn trace tail past
+it), fast-forwards the journal past the cursors it skips, and continues
+generating, never replaying or skipping an arrival; when the trace
+prefix itself is unusable it falls back to full regeneration with every
+surviving cursor record replay-verified.  Either way the finished files
+are byte-identical to an uninterrupted recording's, and the sidecar
+ends like every journal: :meth:`~repro.serving.journal.RunJournal.finish`
+after the terminal ``end`` record, or a crash marker when the recording
+dies.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from ..core.streaming import Arrival
 from ..integrity.record import (
@@ -42,17 +44,14 @@ from ..integrity.record import (
     decode_line,
     encode_line,
     fsync_dir,
-    quarantine_bytes,
-    scan_file,
 )
-from ..serving.journal import JournalError, JournalMismatchError
+from ..serving.journal import JournalError, RunJournal
 from ..sim.errors import HarnessCrash
 
 __all__ = [
     "TRACE_FORMAT",
     "CURSOR_FORMAT",
     "TraceError",
-    "CursorStore",
     "TraceReader",
     "arrival_payload",
     "payload_arrival",
@@ -70,11 +69,6 @@ DEFAULT_CURSOR_EVERY = 256
 
 class TraceError(JournalError):
     """A trace file failed validation (format, checksum, fingerprint)."""
-
-
-def _canonical(entry: Dict) -> Dict:
-    """JSON round-trip so comparisons see exactly what disk sees."""
-    return json.loads(json.dumps(entry, sort_keys=True))
 
 
 def arrival_payload(arrival: Arrival) -> Dict:
@@ -105,136 +99,6 @@ def payload_arrival(payload: Dict) -> Arrival:
         deadline=float(payload.get("d", 0.0)),
         priority=int(payload.get("p", 0)),
     )
-
-
-class CursorStore:
-    """Durable, replay-verified cursor checkpoints for trace recording.
-
-    A tiny append-only envelope journal: header (format + fingerprint),
-    then one fsynced record per checkpoint.  Fresh runs append; resumed
-    runs either **fast-forward** past the surviving prefix (the O(1)
-    path, when the trace file supports it) or **replay-verify** each
-    re-emitted cursor against the prefix byte-for-byte, so a resumed
-    store always converges to the uninterrupted store's bytes.  The
-    crash-point fuzzer sweeps this store like every other journal.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self._fh = None
-        self._seq = 1
-        self._pending: Deque[Dict] = deque()
-        self.recovered = 0
-        self.verified = 0
-        self.appended = 0
-
-    def begin(self, fingerprint: str, resume: bool = False) -> List[Dict]:
-        """Open the store; returns the recovered cursor entries on resume."""
-        if not resume:
-            with open(self.path, "wb") as fh:
-                fh.write(
-                    encode_line(
-                        {
-                            "format": CURSOR_FORMAT,
-                            "version": TRACE_VERSION,
-                            "fingerprint": fingerprint,
-                        },
-                        0,
-                    ).encode("utf-8")
-                )
-                fh.flush()
-                os.fsync(fh.fileno())
-            fsync_dir(self.path)
-            self._fh = open(self.path, "ab")
-            self._seq = 1
-            return []
-        try:
-            header, entries, report, prefix = scan_file(self.path)
-        except FileNotFoundError:
-            raise JournalError(
-                f"cannot resume: no cursor store at {self.path}"
-            ) from None
-        except JournalIntegrityError as exc:
-            raise JournalError(f"cannot resume from {self.path}: {exc}") from None
-        if report.format != "envelope" or header is None:
-            raise JournalError(
-                f"cannot resume: {self.path} has no valid cursor header"
-            )
-        if header.get("format") != CURSOR_FORMAT:
-            raise JournalError(
-                f"{self.path} is not a traffic cursor store "
-                f"(format {header.get('format')!r})"
-            )
-        if header.get("fingerprint") != fingerprint:
-            raise JournalMismatchError(
-                f"cursor store {self.path} belongs to a different recording "
-                f"(fingerprint {header.get('fingerprint')!r})"
-            )
-        data = self.path.read_bytes()
-        # A crash can cut exactly the final newline: the last line is
-        # then valid-but-unterminated, so rewrite must restore the "\n"
-        # before anything is appended after it.
-        kept = data[:prefix]
-        if not kept.endswith(b"\n"):
-            kept += b"\n"
-        if prefix < len(data) or kept != data:
-            if prefix < len(data):
-                quarantine_bytes(self.path, data[prefix:])
-            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-            with open(tmp, "wb") as fh:
-                fh.write(kept)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            fsync_dir(self.path)
-        self._fh = open(self.path, "ab")
-        self._seq = 1 + len(entries)
-        self._pending = deque(entries)
-        self.recovered = len(entries)
-        return entries
-
-    @property
-    def pending(self) -> int:
-        """Recovered records still awaiting re-verification."""
-        return len(self._pending)
-
-    def fast_forward(self, n: Optional[int] = None) -> int:
-        """Accept the first ``n`` pending records as-is (default: all).
-
-        Used by the fast resume path: generation restarts *past* those
-        checkpoints, so they can never be re-emitted for verification.
-        Records beyond ``n`` (e.g. a terminal ``end`` marker) stay
-        pending and must still replay-verify.
-        """
-        if n is None:
-            n = len(self._pending)
-        for _ in range(n):
-            self._pending.popleft()
-        self.verified += n
-        return n
-
-    def record(self, entry: Dict) -> None:
-        """Verify ``entry`` against the prefix, or durably append it."""
-        entry = _canonical(entry)
-        if self._pending:
-            expected = self._pending.popleft()
-            if expected != entry:
-                raise JournalMismatchError(
-                    f"cursor store diverged on replay: journaled "
-                    f"{expected!r}, recomputed {entry!r}"
-                )
-            self.verified += 1
-            return
-        self._fh.write(encode_line(entry, self._seq).encode("utf-8"))
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._seq += 1
-        self.appended += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 class TraceReader:
@@ -362,13 +226,15 @@ def record_trace(
         raise ValueError("resume=True requires a cursor_path")
     path = Path(path)
 
-    cursors: Optional[CursorStore] = None
+    cursors: Optional[RunJournal] = None
     count = 0
     fresh_trace = True
     if cursor_path is not None:
-        cursors = CursorStore(cursor_path)
-        entries = cursors.begin(fingerprint, resume=resume)
-        if resume and entries:
+        cursors = RunJournal(
+            cursor_path, format=CURSOR_FORMAT, version=TRACE_VERSION
+        )
+        if cursors.begin(fingerprint, resume=resume):
+            entries = cursors.entries()
             # Newest checkpoint that is a resume point (the terminal
             # ``end`` record carries no offset/state and never is).
             idx = None
@@ -438,12 +304,11 @@ def record_trace(
         fsync_dir(path)
         if cursors is not None:
             cursors.record({"i": count, "end": True})
-            if cursors.pending:
-                raise JournalMismatchError(
-                    f"resumed recording produced {count} arrivals but the "
-                    f"cursor store expects {cursors.pending} more "
-                    "checkpoints; it belongs to a longer recording"
-                )
+            cursors.finish()
+    except HarnessCrash as crash:
+        if cursors is not None:
+            cursors.crash(crash.time)
+        raise
     finally:
         fh.close()
         if cursors is not None:

@@ -37,13 +37,6 @@ class TestSummaries:
         result = run()
         assert result.total_time >= result.makespan
 
-    def test_power_disabled(self):
-        result = run(monitor_power=False)
-        assert result.power_samples == []
-        assert result.sampled_average_power == 0.0
-        # The exact model still integrates energy.
-        assert result.energy > 0
-
 
 class TestDeviceVariants:
     def test_runs_on_fermi_spec(self):
@@ -54,10 +47,6 @@ class TestDeviceVariants:
     def test_fifo_copy_policy(self):
         result = run(copy_policy="fifo")
         assert result.makespan > 0
-
-    def test_least_loaded_stream_policy(self):
-        result = run(stream_policy="least-loaded")
-        assert {r.stream_index for r in result.records} == {0, 1}
 
 
 class TestSyncInteraction:

@@ -7,8 +7,9 @@ uninterrupted run's reference bytes plus ``resume``/``fresh`` callables
 that re-run the *same* configuration against an arbitrary path.  The
 stores cover every persisted-write site in the repo: the serving
 outcome journal, the fleet checkpoint/failover journal (plain, hedged
-and cascade variants), the batch scheduler's decision journal and the
-burn-rate monitor's alert-record journal.
+and cascade variants), the batch scheduler's decision journal, the
+burn-rate monitor's alert-record journal and the traffic recorder's
+cursor journal — every one a :class:`~repro.serving.journal.RunJournal`.
 """
 
 from __future__ import annotations

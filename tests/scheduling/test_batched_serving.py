@@ -131,6 +131,23 @@ class TestCrashResume:
                 resume=True,
             )
 
+    def test_resume_shorter_than_journal_is_refused(self, tmp_path):
+        """A resume that re-verifies only part of the journal raises."""
+        from dataclasses import replace
+
+        from repro.scheduling import SchedulerConfig
+        from repro.serving.journal import JournalMismatchError
+
+        config = SchedulerConfig(
+            policy="bandit", seed=3, scale="tiny",
+            journal_path=tmp_path / "batched.jsonl",
+        )
+        run_batched_serving([BATCH] * 3, scheduler_config=config)
+        with pytest.raises(JournalMismatchError, match="2/6 entries"):
+            run_batched_serving(
+                [BATCH], scheduler_config=replace(config, resume=True)
+            )
+
 
 class TestTelemetryProbe:
     def test_scheduler_probe_reports_decisions(self, env):

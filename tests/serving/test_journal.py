@@ -79,13 +79,15 @@ class TestFreshJournal:
         journal = RunJournal(path)
         journal.begin(FP)
         journal.record(entry(0))
-        journal.mark_crash(0.125)
-        # Durable before close, like any record...
+        journal.crash(0.125)
+        # Durable like any record...
         assert len(path.read_bytes().splitlines()) == 3
         assert journal.markers == 1
         # ...but filtered from the entry view.
         assert journal.entries() == [json.loads(json.dumps(entry(0)))]
-        journal.close()
+        # crash() ends the run: the journal takes no more writes.
+        with pytest.raises(JournalError):
+            journal.record(entry(1))
 
 
 class TestResume:
@@ -107,6 +109,18 @@ class TestResume:
         journal.close()
         assert journal.appended == 1
         assert len(path.read_text().splitlines()) == 4
+
+    def test_finish_refuses_a_longer_journal(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        self.write_journal(path, n=2)
+        journal = RunJournal(path)
+        journal.begin(FP, resume=True)
+        journal.record(entry(0))
+        with pytest.raises(JournalMismatchError, match="longer run"):
+            journal.finish()
+        # finish() closed the journal even though it raised.
+        with pytest.raises(JournalError):
+            journal.record(entry(1))
 
     def test_divergent_replay_detected(self, tmp_path):
         path = tmp_path / "run.jsonl"

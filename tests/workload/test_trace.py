@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.streaming import Arrival
-from repro.integrity.record import encode_line
-from repro.serving import JournalError, JournalMismatchError
+from repro.integrity.record import MARKER_KEY, decode_line, encode_line
+from repro.serving import JournalError, JournalMismatchError, RunJournal
 from repro.sim.errors import HarnessCrash
 from repro.workload import (
-    CursorStore,
+    CURSOR_FORMAT,
     TraceError,
     arrival_payload,
     payload_arrival,
@@ -157,6 +157,19 @@ class TestCrashResume:
         assert trace.read_bytes() == ref_trace
         assert cursor.read_bytes() == ref_cursor
 
+    def test_crash_marks_the_cursor_journal(self, model, tmp_path):
+        trace, cursor = tmp_path / "t.jsonl", tmp_path / "c.jsonl"
+        with pytest.raises(HarnessCrash) as crash:
+            record_trace(
+                stream(model), trace, FP, cursor_path=cursor,
+                cursor_every=EVERY, crash_after_cursors=2,
+            )
+        lines = cursor.read_bytes().splitlines()
+        assert len(lines) == 4  # header, two cursors, crash marker
+        assert decode_line(lines[-1], expected_seq=3) == {
+            MARKER_KEY: "crash", "t": crash.value.time,
+        }
+
     def test_resume_with_wrong_fingerprint_refused(self, model, tmp_path):
         trace, cursor = tmp_path / "t.jsonl", tmp_path / "c.jsonl"
         with pytest.raises(HarnessCrash):
@@ -164,14 +177,14 @@ class TestCrashResume:
                 stream(model), trace, FP, cursor_path=cursor,
                 cursor_every=EVERY, crash_after_cursors=1,
             )
-        with pytest.raises(JournalMismatchError, match="different recording"):
+        with pytest.raises(JournalMismatchError, match="different run"):
             record_trace(
                 stream(model), trace, "other-fingerprint", cursor_path=cursor,
                 cursor_every=EVERY, resume=True,
             )
 
     def test_resume_without_cursor_store_refused(self, model, tmp_path):
-        with pytest.raises(JournalError, match="no cursor store"):
+        with pytest.raises(JournalError, match="does not exist"):
             record_trace(
                 stream(model), tmp_path / "t.jsonl", FP,
                 cursor_path=tmp_path / "missing.jsonl", resume=True,
@@ -188,22 +201,26 @@ class TestCrashResume:
             )
 
 
+def cursor_journal(path):
+    return RunJournal(path, format=CURSOR_FORMAT, version=1)
+
+
 class TestCursorStore:
     def test_non_cursor_file_refused(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(encode_line({"format": "something-else"}, 0))
-        store = CursorStore(path)
-        with pytest.raises(JournalError, match="not a traffic cursor store"):
+        store = cursor_journal(path)
+        with pytest.raises(JournalError, match=f"not a {CURSOR_FORMAT} file"):
             store.begin(FP, resume=True)
 
     def test_replay_divergence_detected(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        store = CursorStore(path)
+        store = cursor_journal(path)
         store.begin(FP)
         store.record({"i": 16, "t": 0.5, "off": 100, "state": {}})
         store.close()
-        resumed = CursorStore(path)
-        assert len(resumed.begin(FP, resume=True)) == 1
+        resumed = cursor_journal(path)
+        assert resumed.begin(FP, resume=True) == 1
         with pytest.raises(JournalMismatchError, match="diverged"):
             resumed.record({"i": 16, "t": 0.6, "off": 100, "state": {}})
         resumed.close()
