@@ -5,8 +5,10 @@ paper's problem sizes (override with ``REPRO_SCALE=small`` for a quick
 pass) and prints the rows the paper reports.  CSV copies land in
 ``results/``.
 
-The :class:`~repro.core.runner.ExperimentRunner` is session-scoped so
-serial baselines are computed once and shared across benchmark files.
+The :class:`~repro.core.runner.ExperimentRunner` is session-scoped, so
+every pure cell (a config with no observer or hook attached) is
+simulated once and shared across benchmark files: serial baselines, and
+also the cells one figure repeats from another.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 @pytest.fixture(scope="session")
 def runner() -> ExperimentRunner:
-    """One runner for the whole benchmark session (baseline caching)."""
+    """One runner for the whole benchmark session (shared cell results)."""
     return ExperimentRunner()
 
 

@@ -4,8 +4,15 @@ The paper's evaluation always reports *relative* numbers: improvement over
 serialized execution (Figure 4), latency relative to the homogeneous
 expectation (Figure 6), performance relative to the slowest launch order
 (Figures 7/8), energy relative to the serial baseline (Figures 9/10).
-:class:`ExperimentRunner` provides exactly those comparisons, caching the
-(expensive) serial baselines so sweep experiments don't recompute them.
+:class:`ExperimentRunner` provides exactly those comparisons.
+
+The figures share cells: a serial baseline serves Figures 4, 9 and 10,
+and a Naive-FIFO ordering cell is also a Figure 4 full-concurrency cell.
+A simulation is a pure function of its :class:`RunConfig`, so the runner
+simulates each distinct config once and hands back the stored
+:class:`RunResult` after that.  A cell with an observer or hook attached
+(``telemetry``, ``tracing``, ``integrity``, ``admission`` or ``fleet``)
+always runs, because its caller wants the side effects too.
 """
 
 from __future__ import annotations
@@ -115,18 +122,49 @@ class RunResult:
         return f"[{self.config.label()}] {self.harness.summary()}"
 
 
+def _attached(config: RunConfig) -> bool:
+    """Whether ``config`` carries an observer or hook (never cached)."""
+    return bool(config.integrity) or any(
+        hook is not None
+        for hook in (config.telemetry, config.tracing, config.admission, config.fleet)
+    )
+
+
 class ExperimentRunner:
-    """Executes :class:`RunConfig` cells with serial-baseline caching."""
+    """Executes :class:`RunConfig` cells, each distinct pure cell once.
+
+    The result cache is keyed by the whole frozen :class:`RunConfig`
+    (seed included).  Every caller of a cached cell gets the same
+    :class:`RunResult` object, so treat results as read-only.  The
+    runner keeps every pure result it has produced alive for its own
+    lifetime; use a fresh runner where that memory matters.
+    ``runs_executed`` counts simulations, not calls.
+    """
 
     def __init__(self, default_spec: Optional[DeviceSpec] = None) -> None:
         self.default_spec = default_spec
-        self._serial_cache: Dict[tuple, RunResult] = {}
+        self._results: Dict[RunConfig, RunResult] = {}
         self.runs_executed: int = 0
 
     # -- execution ---------------------------------------------------------
 
     def run(self, config: RunConfig) -> RunResult:
-        """Execute one cell in a fresh simulation."""
+        """Execute one cell, or return its stored result.
+
+        A config seen before returns the stored result without a new
+        simulation, unless an observer or hook is attached (see the
+        module docstring); such a cell executes on every call and is
+        not stored.
+        """
+        if _attached(config):
+            return self._execute(config)
+        result = self._results.get(config)
+        if result is None:
+            result = self._results[config] = self._execute(config)
+        return result
+
+    def _execute(self, config: RunConfig) -> RunResult:
+        """Simulate one cell in a fresh environment."""
         rng = np.random.default_rng(config.seed)
         schedule = config.workload.schedule(config.order, rng=rng)
         apps = config.workload.instantiate(schedule)
@@ -215,13 +253,11 @@ class ExperimentRunner:
 
         Order is Naive FIFO (order cannot matter when everything
         serializes through a single stream's host lock) and memory sync is
-        off (a single stream never contends with itself).  Results are
-        cached per workload.
+        off (a single stream never contends with itself).  The result
+        shares the runner's cache with :meth:`run`: a stored result is
+        returned without calling :meth:`run` at all, so a subclass that
+        overrides :meth:`run` sees only the cells that miss.
         """
-        key = (workload.entries, tuple(sorted(kwargs.items())))
-        cached = self._serial_cache.get(key)
-        if cached is not None:
-            return cached
         config = RunConfig(
             workload=workload,
             num_streams=1,
@@ -229,9 +265,10 @@ class ExperimentRunner:
             memory_sync=False,
             **kwargs,
         )
-        result = self.run(config)
-        self._serial_cache[key] = result
-        return result
+        cached = self._results.get(config)
+        if cached is not None:
+            return cached
+        return self.run(config)
 
     # -- comparisons ------------------------------------------------------------
 

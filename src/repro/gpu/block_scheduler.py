@@ -17,6 +17,9 @@ Implementation notes
 * Scheduling passes are deferred to a NORMAL-priority event at the current
   time, so all same-time cohort retirements release their resources before
   the next pass runs (and multiple triggers coalesce into one pass).
+* A pass walks only the grids that still have blocks to place, kept in
+  arrival order beside the full in-flight list, so grids whose last
+  cohorts are merely running cost it nothing.
 * An optional ``admission`` hook lets :mod:`repro.core.baselines` implement
   the symbiosis-style admission control the paper compares against (a grid
   is held back until the hook admits it).
@@ -39,9 +42,13 @@ from .smx import Placement, SMXArray
 __all__ = ["GridEngine", "GridState"]
 
 
-@dataclass
+@dataclass(eq=False)
 class GridState:
-    """Book-keeping for one in-flight kernel launch."""
+    """Book-keeping for one in-flight kernel launch.
+
+    Compares by identity: two launches are never the same grid, and the
+    engine's list removals stay O(position) pointer checks.
+    """
 
     cmd: KernelLaunchCommand
     to_place: int          # blocks not yet given to an SMX
@@ -59,6 +66,29 @@ class GridState:
     def finished(self) -> bool:
         """All blocks placed and retired."""
         return self.to_place == 0 and self.outstanding == 0
+
+
+class _Retirement(Event):
+    """A cohort's completion event, carrying the cohort it retires."""
+
+    __slots__ = ("grid", "placements", "placed")
+
+    def __init__(
+        self,
+        env: Environment,
+        grid: GridState,
+        placements: List[Placement],
+        placed: int,
+        callback: Callable[["_Retirement"], None],
+    ) -> None:
+        self.env = env
+        self.callbacks = [callback]
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self.grid = grid
+        self.placements = placements
+        self.placed = placed
 
 
 class GridEngine:
@@ -119,9 +149,14 @@ class GridEngine:
         self.injector = injector
         self.max_concurrent_grids = max_concurrent_grids
         self.retire_quantum = retire_quantum
+        # Every in-flight grid, in arrival order.
         self._pending: List[GridState] = []
+        # The grids of ``_pending`` with blocks still to place
+        # (to_place > 0), in the same order: all a pass needs to walk.
+        self._unplaced: List[GridState] = []
         # Grids in ``_pending`` with resident blocks (outstanding > 0).
         self._executing = 0
+        self._retire_cb = self._retire
         self._pass_scheduled = False
         # Statistics
         self.grids_completed: int = 0
@@ -166,6 +201,8 @@ class GridEngine:
         if self.admission is not None:
             grid.admitted = False
         self._pending.append(grid)
+        if nblocks > 0:
+            self._unplaced.append(grid)
         self._request_pass()
         return grid
 
@@ -193,6 +230,7 @@ class GridEngine:
         self._pass_scheduled = False
         now = self.env.now
         changed = False
+        placed_out = False
         # Pass-local count for the concurrent-grid limit: it starts from
         # the grids holding blocks and counts only launches placing their
         # first blocks in this pass.
@@ -200,11 +238,9 @@ class GridEngine:
         # Fast path: with no free block slot anywhere, no kernel can place.
         free_block_slots = self.smx.free_block_slots
 
-        for grid in self._pending:
+        for grid in self._unplaced:
             if free_block_slots == 0:
                 break
-            if grid.to_place == 0:
-                continue
             if self.admission is not None and not grid.admitted:
                 active = [g for g in self._pending if g is not grid and g.outstanding > 0]
                 if not self.admission(grid, active):
@@ -218,9 +254,11 @@ class GridEngine:
                 if executing >= self.max_concurrent_grids:
                     continue
             placements = self.smx.place(grid.kernel, grid.to_place)
-            placed = sum(p.nblocks for p in placements)
-            if placed == 0:
+            if not placements:
                 continue
+            placed = 0
+            for placement in placements:
+                placed += placement.nblocks
             if grid.outstanding == 0:
                 self._executing += 1
                 if grid.to_place == grid.kernel.num_blocks:
@@ -229,6 +267,8 @@ class GridEngine:
                     grid.cmd.first_block_time = now
                     executing += 1
             grid.to_place -= placed
+            if not grid.to_place:
+                placed_out = True
             grid.outstanding += placed
             grid.waves += 1
             self.total_waves += 1
@@ -236,6 +276,8 @@ class GridEngine:
             changed = True
             self._schedule_retirement(grid, placements, placed)
 
+        if placed_out:
+            self._unplaced = [g for g in self._unplaced if g.to_place]
         if changed and self.on_change is not None:
             self.on_change()
 
@@ -261,23 +303,21 @@ class GridEngine:
             target = now + duration
             quantized = -(-target // q) * q  # ceil to the grid
             duration = quantized - now
-        evt = Event(self.env)
-        evt._ok = True
-        evt._value = None
-
-        def _retire(_e: Event, grid=grid, placements=placements, placed=placed) -> None:
-            self.smx.release(grid.kernel, placements)
-            grid.outstanding -= placed
-            if grid.outstanding == 0:
-                self._executing -= 1
-            if grid.finished:
-                self._finish(grid)
-            if self.on_change is not None:
-                self.on_change()
-            self._request_pass()
-
-        evt.callbacks.append(_retire)
+        evt = _Retirement(self.env, grid, placements, placed, self._retire_cb)
         self.env.schedule(evt, delay=duration, priority=NORMAL)
+
+    def _retire(self, evt: _Retirement) -> None:
+        """Give a retired cohort's resources back and schedule a pass."""
+        grid = evt.grid
+        self.smx.release(grid.kernel, evt.placements)
+        grid.outstanding -= evt.placed
+        if grid.outstanding == 0:
+            self._executing -= 1
+        if grid.finished:
+            self._finish(grid)
+        if self.on_change is not None:
+            self.on_change()
+        self._request_pass()
 
     def _finish(self, grid: GridState) -> None:
         now = self.env.now

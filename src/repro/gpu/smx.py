@@ -8,15 +8,24 @@ questions the block scheduler asks:
 * "how many more blocks of kernel K fit right now, and where?"
 * "give those resources back" (when a block cohort retires).
 
-Placement is round-robin across SMXs starting from a rotating cursor —
-matching the GigaThread engine's breadth-first block distribution and
-keeping SMX load balanced.
+Placement fills SMXs greedily, in array order from a rotating cursor:
+each SMX takes as many blocks as it can host before the next one gets
+any.  A placement that gets all the blocks it asked for moves the cursor
+to the SMX after the last one it used; one that falls short leaves the
+cursor where it was.  The cursor spreads successive cohorts across the
+array, which keeps long-run SMX load balanced without per-block dealing.
+
+:meth:`SMXArray.place` and :meth:`SMXArray.release` inline the
+:meth:`SMXState.fits` / :meth:`~SMXState.take` /
+:meth:`~SMXState.give_back` arithmetic in one loop over the SMXs.  Those
+three methods stay as the reference the array's fast paths are tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .kernels import KernelDescriptor
 from .specs import SMXSpec
@@ -102,8 +111,7 @@ class SMXState:
         return self.spec.max_threads - self.free_threads
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """Blocks of one kernel placed on one SMX in one scheduling pass."""
 
     smx_index: int
@@ -141,53 +149,98 @@ class SMXArray:
     def place(self, kernel: KernelDescriptor, max_blocks: int) -> List[Placement]:
         """Place up to ``max_blocks`` blocks of ``kernel``; return placements.
 
-        Distribution is breadth-first round-robin from a persistent cursor
-        (like the GigaThread engine's block distributor): blocks are dealt
-        in whole "levels" across the SMXs, so loads stay balanced, in
-        O(num_smx) time independent of the block count.  Returns an empty
-        list when nothing fits; never places more than requested.
+        SMXs are filled greedily in array order, starting at a persistent
+        cursor: each SMX takes as many blocks as it can host (capped by
+        what is still wanted) before the next SMX gets any.  When the
+        request is met, the cursor moves to the SMX after the last one
+        used, so the next placement starts there; otherwise it stays.
+        Runs in O(num_smx) time independent of the block count.  Returns
+        an empty list when nothing fits; never places more than requested.
         """
         if max_blocks <= 0:
             return []
-        n_smx = len(self.smxs)
+        smxs = self.smxs
+        n_smx = len(smxs)
         if self._resident_blocks >= n_smx * self.spec.max_blocks:
             return []
-        start = self._cursor % n_smx
+        tpb = kernel._threads_per_block
+        smem = kernel.shared_mem_per_block
+        regs = kernel._registers_per_block
+        idx = self._cursor % n_smx
         remaining = max_blocks
         placements: List[Placement] = []
-        total_placed = 0
-        # Greedy fill in cursor order: each SMX takes as many blocks as it
-        # can host before moving on.  The rotating cursor spreads successive
-        # cohorts across the array, which keeps long-run SMX load balanced
-        # without per-block dealing.
-        for offset in range(n_smx):
-            idx = (start + offset) % n_smx
-            smx = self.smxs[idx]
-            n = smx.fits(kernel)
-            if n <= 0:
-                continue
-            if n > remaining:
-                n = remaining
-            smx.take(kernel, n)
-            placements.append(Placement(idx, n))
-            total_placed += n
-            remaining -= n
-            if remaining == 0:
-                self._cursor = (idx + 1) % n_smx
-                break
-        if total_placed:
-            self._resident_blocks += total_placed
-            self._resident_threads += total_placed * kernel._threads_per_block
+        for _ in range(n_smx):
+            smx = smxs[idx]
+            # SMXState.fits, inlined: the least of the four resource
+            # quotients.
+            n = smx.free_blocks
+            if n > 0:
+                m = smx.free_threads // tpb
+                if m < n:
+                    n = m
+                if smem:
+                    m = smx.free_shared_mem // smem
+                    if m < n:
+                        n = m
+                if regs:
+                    m = smx.free_registers // regs
+                    if m < n:
+                        n = m
+                if n > 0:
+                    if n > remaining:
+                        n = remaining
+                    # SMXState.take, inlined (n never exceeds the fit).
+                    smx.free_blocks -= n
+                    smx.free_threads -= n * tpb
+                    smx.free_shared_mem -= n * smem
+                    smx.free_registers -= n * regs
+                    placements.append(Placement(idx, n))
+                    remaining -= n
+                    if remaining == 0:
+                        idx += 1
+                        self._cursor = idx if idx < n_smx else 0
+                        break
+            idx += 1
+            if idx == n_smx:
+                idx = 0
+        placed = max_blocks - remaining
+        if placed:
+            self._resident_blocks += placed
+            self._resident_threads += placed * tpb
         return placements
 
     def release(self, kernel: KernelDescriptor, placements: List[Placement]) -> None:
-        """Return the resources of a retired cohort."""
+        """Return the resources of a retired cohort.
+
+        Raises :class:`ValueError` when a release would push an SMX above
+        its capacity (a double free), as :meth:`SMXState.give_back` does.
+        """
+        tpb = kernel._threads_per_block
+        smem = kernel.shared_mem_per_block
+        regs = kernel._registers_per_block
+        spec = self.spec
+        smxs = self.smxs
         total = 0
-        for p in placements:
-            self.smxs[p.smx_index].give_back(kernel, p.nblocks)
-            total += p.nblocks
+        for idx, n in placements:
+            smx = smxs[idx]
+            # SMXState.give_back, inlined.
+            smx.free_blocks += n
+            smx.free_threads += n * tpb
+            smx.free_shared_mem += n * smem
+            smx.free_registers += n * regs
+            if (
+                smx.free_blocks > spec.max_blocks
+                or smx.free_threads > spec.max_threads
+                or smx.free_shared_mem > spec.shared_memory
+                or smx.free_registers > spec.registers
+            ):
+                raise ValueError(
+                    f"SMX {idx}: resource release exceeds capacity "
+                    f"(double free of {kernel.name} blocks?)"
+                )
+            total += n
         self._resident_blocks -= total
-        self._resident_threads -= total * kernel._threads_per_block
+        self._resident_threads -= total * tpb
 
     # -- device-level introspection ----------------------------------------
 

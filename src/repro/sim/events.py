@@ -28,9 +28,10 @@ detected as errors.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
-from .errors import EventError
+from .errors import EventError, ScheduleError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Environment
@@ -118,11 +119,14 @@ class Event:
         Returns the event itself so that factory helpers can do
         ``return Event(env).succeed(v)``.
         """
-        if self.triggered:
+        if self._value is not PENDING:
             raise EventError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, priority=priority)
+        # Straight onto the calendar: the entry ``Environment.schedule``
+        # would push for a zero delay, without the call.
+        env = self.env
+        heappush(env._queue, (env._now, priority, next(env._eid), self))
         return self
 
     def stamp(self, value: Any = None) -> "Event":
@@ -206,14 +210,17 @@ class Timeout(Event):
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
-            from .errors import ScheduleError
-
             raise ScheduleError(f"negative delay {delay!r}")
-        super().__init__(env)
-        self._delay = float(delay)
-        self._ok = True
+        # Every field set here, then the calendar entry pushed directly:
+        # timeouts are the commonest event, so they skip both the generic
+        # ``Event.__init__`` and ``Environment.schedule``.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=self._delay)
+        self._ok = True
+        self._defused = False
+        self._delay = delay = float(delay)
+        heappush(env._queue, (env._now + delay, NORMAL, next(env._eid), self))
 
     @property
     def delay(self) -> float:

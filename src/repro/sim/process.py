@@ -34,7 +34,7 @@ class Initialize(Event):
 
     def __init__(self, env: "Environment", process: "Process") -> None:
         super().__init__(env)
-        self.callbacks.append(process._resume)
+        self.callbacks.append(process._resume_cb)
         self._ok = True
         self._value = None
         env.schedule(self, priority=URGENT)
@@ -67,7 +67,7 @@ class Interruption(Event):
         target = process._target
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(process._resume)
+                target.callbacks.remove(process._resume_cb)
             except ValueError:
                 pass
         process._resume(self)
@@ -82,7 +82,7 @@ class Process(Event):
     waiting on it (or aborts the simulation if unhandled).
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "_resume_cb", "name")
 
     def __init__(
         self,
@@ -95,6 +95,9 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        # One bound method for every event the process waits on, rather
+        # than a new one per ``yield``.
+        self._resume_cb = self._resume
         #: The event this process is currently waiting on (``None`` while
         #: the process is running or finished).
         self._target: Optional[Event] = Initialize(env, self)
@@ -135,7 +138,7 @@ class Process(Event):
                     # The event failed: throw its exception into the process.
                     event.defuse()
                     exc = event._value
-                    next_event = self._generator.throw(type(exc), exc, None)
+                    next_event = self._generator.throw(exc)
             except StopIteration as stop:
                 # Generator finished normally.
                 self._target = None
@@ -167,7 +170,7 @@ class Process(Event):
 
             if next_event.callbacks is not None:
                 # Event not yet processed: subscribe and suspend.
-                next_event.callbacks.append(self._resume)
+                next_event.callbacks.append(self._resume_cb)
                 self._target = next_event
                 break
 

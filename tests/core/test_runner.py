@@ -5,6 +5,7 @@ import pytest
 from repro.core.runner import ExperimentRunner, RunConfig, RunResult, quick_run
 from repro.core.workload import Workload
 from repro.scheduling.orders import SchedulingOrder
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture
@@ -34,10 +35,13 @@ class TestRun:
         assert result.energy > 0
         assert runner.runs_executed == 1
 
-    def test_runs_are_deterministic(self, runner, workload):
+    def test_runs_are_deterministic(self, workload):
+        # Two runners, so the second result is a new simulation rather
+        # than the first runner's stored one.
         cfg = RunConfig(workload=workload, num_streams=4, seed=3)
-        a = runner.run(cfg)
-        b = runner.run(cfg)
+        a = ExperimentRunner().run(cfg)
+        b = ExperimentRunner().run(cfg)
+        assert a is not b
         assert a.makespan == b.makespan
         assert a.energy == b.energy
 
@@ -74,6 +78,50 @@ class TestSerialBaseline:
         )
         assert pct == pytest.approx(run.improvement_over(serial))
         assert serial.makespan >= run.makespan  # concurrency never hurts here
+
+
+class TestResultCache:
+    def test_repeated_pure_config_returns_stored_result(self, runner, workload):
+        cfg = RunConfig(workload=workload, num_streams=2, seed=5)
+        first = runner.run(cfg)
+        again = runner.run(RunConfig(workload=workload, num_streams=2, seed=5))
+        assert again is first
+        assert runner.runs_executed == 1
+
+    def test_seed_is_part_of_the_key(self, runner, workload):
+        runner.run(RunConfig(workload=workload, num_streams=2, seed=1))
+        runner.run(RunConfig(workload=workload, num_streams=2, seed=2))
+        assert runner.runs_executed == 2
+
+    def test_observed_config_runs_every_time(self, runner, workload):
+        cfg = RunConfig(workload=workload, num_streams=2, telemetry=Telemetry())
+        first = runner.run(cfg)
+        again = runner.run(cfg)
+        assert again is not first
+        assert again.makespan == first.makespan
+        assert runner.runs_executed == 2
+
+    def test_serial_shares_the_entry_of_a_one_stream_run(self, runner, workload):
+        # Figure 9 runs the one-stream cell through run(); Figures 4 and
+        # 10 ask run_serial for the same cell.
+        direct = runner.run(RunConfig(workload=workload, num_streams=1))
+        assert runner.run_serial(workload) is direct
+        assert runner.runs_executed == 1
+
+    def test_serial_hit_does_not_call_run(self, workload):
+        calls = []
+
+        class CountingRunner(ExperimentRunner):
+            def run(self, config):
+                calls.append(config)
+                return super().run(config)
+
+        runner = CountingRunner()
+        first = runner.run_serial(workload)
+        assert len(calls) == 1
+        assert runner.run_serial(workload) is first
+        assert len(calls) == 1
+        assert runner.runs_executed == 1
 
 
 class TestComparisons:

@@ -1,7 +1,7 @@
 """Unit tests for :mod:`repro.gpu.smx` (resource accounting + placement)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.kernels import Dim3, KernelDescriptor
@@ -155,3 +155,95 @@ def test_placement_never_exceeds_limits(requests):
     for s in arr.smxs:
         assert s.free_blocks == s.spec.max_blocks
         assert s.free_threads == s.spec.max_threads
+
+
+def _reference_place(states, cursor, kernel, max_blocks):
+    """The placement rule spelled out with SMXState's own methods.
+
+    Greedy fill in array order from ``cursor``; a placement that meets
+    its request moves the cursor past the last SMX it used.  Returns
+    ``(placements, cursor)``.
+    """
+    if max_blocks <= 0:
+        return [], cursor
+    n_smx = len(states)
+    remaining = max_blocks
+    placements = []
+    for offset in range(n_smx):
+        idx = (cursor + offset) % n_smx
+        n = min(states[idx].fits(kernel), remaining)
+        if n <= 0:
+            continue
+        states[idx].take(kernel, n)
+        placements.append((idx, n))
+        remaining -= n
+        if remaining == 0:
+            cursor = (idx + 1) % n_smx
+            break
+    return placements, cursor
+
+
+def _counters(states):
+    return [
+        (s.free_blocks, s.free_threads, s.free_shared_mem, s.free_registers)
+        for s in states
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_smx=st.integers(min_value=1, max_value=13),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("place"),
+                st.sampled_from([32, 64, 128, 256, 512, 1024]),  # tpb
+                st.sampled_from([0, 8, 16, 32, 63]),             # regs/thread
+                st.sampled_from([0, 1 << 10, 8 << 10, 24 << 10, 48 << 10]),
+                st.integers(min_value=0, max_value=300),         # blocks wanted
+            ),
+            st.tuples(st.just("release"), st.integers(min_value=0, max_value=50)),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_array_fast_paths_match_per_smx_reference(num_smx, ops):
+    """Property: SMXArray.place/release equal a loop over fits/take/give_back.
+
+    Same placements, same per-SMX counters and same device-level totals
+    after every operation, for any mix of kernels bounded by any of the
+    four resources.
+    """
+    arr = SMXArray(num_smx, SMXSpec())
+    ref = [SMXState(i, SMXSpec()) for i in range(num_smx)]
+    cursor = 0
+    live = []
+    for i, op in enumerate(ops):
+        if op[0] == "place":
+            _, tpb, regs, smem, want = op
+            k = kd(tpb=tpb, regs=regs, smem=smem, name=f"k{i}")
+            placements = arr.place(k, want)
+            expected, cursor = _reference_place(ref, cursor, k, want)
+            assert [tuple(p) for p in placements] == expected
+            if placements:
+                live.append((k, placements))
+        elif live:
+            k, placements = live.pop(op[1] % len(live))
+            arr.release(k, placements)
+            for idx, n in placements:
+                ref[idx].give_back(k, n)
+        assert _counters(arr.smxs) == _counters(ref)
+        assert arr.resident_blocks == sum(
+            s.spec.max_blocks - s.free_blocks for s in ref
+        )
+        assert arr.resident_threads == sum(s.resident_threads for s in ref)
+
+
+def test_array_release_detects_double_free():
+    arr = SMXArray(2, SMXSpec())
+    k = kd(tpb=256)
+    placements = arr.place(k, 3)
+    arr.release(k, placements)
+    with pytest.raises(ValueError, match="exceeds capacity"):
+        arr.release(k, placements)

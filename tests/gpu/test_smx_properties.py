@@ -71,6 +71,9 @@ def _check_occupancy(device):
     assert engine._executing == sum(
         1 for g in engine._pending if g.outstanding > 0
     )
+    # And its list of grids left to place: the in-flight grids with
+    # blocks still unplaced, in arrival order.
+    assert engine._unplaced == [g for g in engine._pending if g.to_place > 0]
 
 
 @settings(max_examples=40, deadline=None)
