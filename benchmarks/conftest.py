@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables or figures at the
+``bench_paper.py`` regenerates the paper's tables and figures at the
 paper's problem sizes (override with ``REPRO_SCALE=small`` for a quick
-pass) and prints the rows the paper reports.  CSV copies land in
-``results/``.
+pass) and prints the rows the paper reports; the other benches measure
+the extensions.  CSV copies land in ``results/``.
 
 The :class:`~repro.core.runner.ExperimentRunner` is session-scoped, so
 every pure cell (a config with no observer or hook attached) is
@@ -107,8 +107,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     capture ends, so ``pytest benchmarks/ --benchmark-only | tee out.txt``
     records the actual paper tables, not just timings.
     """
-    import csv
-
+    from repro.analysis.report import coerce_rows, read_results_csv
     from repro.analysis.tables import format_table
 
     if not RESULTS_DIR.exists():
@@ -122,21 +121,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         # A half-written CSV from a crashed cell must not take down the
         # whole summary: report it and move on.
         try:
-            with path.open() as fh:
-                rows = list(csv.DictReader(fh))
-            coerced = []
-            for row in rows:
-                out = {}
-                for key, value in row.items():
-                    try:
-                        number = float(value)
-                        out[key] = (
-                            int(number) if number == int(number) else number
-                        )
-                    except (TypeError, ValueError):
-                        out[key] = value
-                coerced.append(out)
-            table = format_table(coerced, title=f"[{path.name}]")
+            table = format_table(
+                coerce_rows(read_results_csv(path)), title=f"[{path.name}]"
+            )
         except Exception as exc:
             table = f"[{path.name}] unreadable: {type(exc).__name__}: {exc}"
         tr.write_line("")

@@ -8,7 +8,7 @@ from .critical_path import (
     top_slowest,
 )
 from .profile_summary import kernel_summary, stream_summary, transfer_summary
-from .report import SECTIONS, Section, build_report, read_results_csv
+from .report import Section, build_report, read_results_csv
 from .stats import (
     Summary,
     concurrency_profile,
@@ -39,7 +39,6 @@ __all__ = [
     "stream_summary",
     "build_report",
     "Section",
-    "SECTIONS",
     "read_results_csv",
     "render_timeline",
     "timeline_rows",

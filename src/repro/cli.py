@@ -4,10 +4,16 @@ Runs any of the paper's experiments and prints (and optionally saves) the
 resulting tables and timelines.  Examples::
 
     python -m repro list
-    python -m repro fig4 --scale small --na 8 16
+    python -m repro --scale small fig4 --na 8 16
     python -m repro fig6 --pair gaussian needle
     python -m repro timeline --pair gaussian needle --apps 8 --sync
-    python -m repro headline --scale small --out results/
+    python -m repro --scale small --out results/ headline
+
+Every artifact EXPERIMENTS.md reports (``fig1``..``fig10``, ``table3``,
+``headline``, ``homog`` and the ``ablation-*`` commands) is one entry of
+:data:`repro.core.registry.EXPERIMENTS`: its command prints the same
+tables and summary as ``benchmarks/bench_paper.py``, and ``--out`` writes
+the same CSVs under the same names as ``results/``.
 
 The ``--scale`` flag selects the problem-size profile (``paper`` is the
 Table III default; ``small``/``tiny`` run in seconds).
@@ -23,6 +29,7 @@ from typing import List, Optional
 from .analysis.tables import format_table, write_csv
 from .analysis.timeline import render_timeline
 from .apps.registry import all_pairs, list_apps
+from .core.registry import EXPERIMENTS, report_sections
 
 __all__ = ["main", "build_parser"]
 
@@ -133,48 +140,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list applications and experiment names")
 
-    p = sub.add_parser("fig3", help="Figure 3: the five launch orders")
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--n", type=int, default=4)
-
-    p = sub.add_parser("fig4", help="Figure 4: concurrency speedup vs serial")
-    p.add_argument("--na", type=int, nargs="+", default=[4, 8, 16, 32])
-    p.add_argument("--pair", nargs=2, default=None, metavar=("X", "Y"))
-
-    sub.add_parser("fig5", help="Figure 5: LEFTOVER oversubscription snapshot")
-
-    p = sub.add_parser("fig6", help="Figure 6: effective transfer latency")
-    p.add_argument("--pair", nargs=2, default=["gaussian", "needle"])
-    p.add_argument("--na", type=int, nargs="+", default=[8, 16, 32])
-
-    p = sub.add_parser("fig7", help="Figure 7: ordering effect (default memory)")
-    p.add_argument("--apps", type=int, default=32)
-
-    p = sub.add_parser("fig8", help="Figure 8: ordering effect (memory sync)")
-    p.add_argument("--apps", type=int, default=32)
-
-    p = sub.add_parser("fig9", help="Figure 9: power serial/half/full")
-    p.add_argument("--pair", nargs=2, default=["gaussian", "needle"])
-    p.add_argument("--apps", type=int, default=32)
-
-    p = sub.add_parser("fig10", help="Figure 10: power default vs sync")
-    p.add_argument("--pair", nargs=2, default=["gaussian", "needle"])
-    p.add_argument("--apps", type=int, default=32)
+    for experiment in EXPERIMENTS.values():
+        p = sub.add_parser(experiment.name, help=experiment.help)
+        for key, spec in experiment.options.items():
+            p.add_argument(f"--{key}", **spec)
 
     p = sub.add_parser("timeline", help="Figures 1/2: render copy timelines")
     p.add_argument("--pair", nargs=2, default=["gaussian", "needle"])
     p.add_argument("--apps", type=int, default=8)
     p.add_argument("--sync", action="store_true", help="enable the transfer mutex")
     p.add_argument("--width", type=int, default=100)
-
-    sub.add_parser("table3", help="Table III: launch geometry")
-
-    p = sub.add_parser("headline", help="the abstract's aggregate numbers")
-    p.add_argument("--apps", type=int, default=32)
-
-    p = sub.add_parser("homog", help="homogeneous self-concurrency scaling")
-    p.add_argument("--apps", nargs="+", default=None, metavar="APP")
-    p.add_argument("--na", type=int, nargs="+", default=[4, 8, 16])
 
     p = sub.add_parser(
         "autotune",
@@ -472,8 +447,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("applications:", ", ".join(list_apps()))
         print("pairs:", ", ".join(f"{x}+{y}" for x, y in all_pairs()))
         print(
-            "experiments: fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 "
-            "timeline table3 headline homog autotune streaming serve "
+            "experiments:", *EXPERIMENTS, "timeline autotune streaming serve "
             "schedule resilience fleet telemetry trace traffic verify report"
         )
         return 0
@@ -510,124 +484,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                 bad += 1
         return 1 if bad else 0
 
-    # Import lazily: experiment modules pull in the whole stack.
-    from .core import experiments as ex
-
-    if args.command == "fig3":
-        orders = ex.fig3_orders(m=args.m, n=args.n)
-        for name, signature in orders.items():
-            print(f"{name:>22}: {' '.join(signature)}")
-        return 0
-
-    if args.command == "fig4":
-        pairs = [tuple(args.pair)] if args.pair else None
-        result = ex.fig4_concurrency(pairs=pairs, na_values=args.na, scale=scale)
-        rows = [
-            {
-                "pair": f"{r.pair[0]}+{r.pair[1]}",
-                "NA": r.num_apps,
-                "scenario": r.scenario,
-                "NS": r.num_streams,
-                "serial_ms": r.serial_makespan * 1e3,
-                "concurrent_ms": r.makespan * 1e3,
-                "improvement_pct": r.improvement_pct,
-            }
-            for r in result.rows
-        ]
-        _emit(rows, "Figure 4 — concurrency speedup vs serial", out, "fig4")
-        for scenario in ("half", "full"):
-            mx, avg = result.stats(scenario)
-            print(f"{scenario}: max {mx:.1f}%  avg {avg:.1f}%")
-        return 0
-
-    if args.command == "fig5":
-        result = ex.fig5_oversubscription()
-        _emit(result.rows(), "Figure 5 — LEFTOVER oversubscription", out, "fig5")
-        print(
-            f"requested {result.total_requested_blocks} thread blocks vs "
-            f"ceiling {result.device_block_ceiling}; "
-            f"max kernel concurrency {result.max_kernel_concurrency}; "
-            f"makespan {result.makespan * 1e6:.0f} us "
-            f"(serialized {result.serialized_makespan * 1e6:.0f} us)"
+    experiment = EXPERIMENTS.get(args.command)
+    if experiment is not None:
+        result = experiment(
+            scale=scale,
+            **{key: getattr(args, key) for key in experiment.options},
         )
-        return 0
-
-    if args.command == "fig6":
-        result = ex.fig6_effective_latency(
-            pair=tuple(args.pair), na_values=args.na, scale=scale
-        )
-        rows = [
-            {
-                "NA": r.num_apps,
-                "expected_ms": r.expected_ms,
-                "default_ms": r.default_ms,
-                "default_x": r.default_ratio,
-                "sync_ms": r.sync_ms,
-                "sync_x": r.sync_ratio,
-            }
-            for r in result.rows
-        ]
-        _emit(rows, "Figure 6 — effective HtoD transfer latency", out, "fig6")
-        return 0
-
-    if args.command in ("fig7", "fig8"):
-        from .scheduling.orders import ordering_rows
-
-        fn = ex.fig7_ordering_default if args.command == "fig7" else ex.fig8_ordering_sync
-        result = fn(num_apps=args.apps, scale=scale)
-        rows = ordering_rows(result)
-        label = "default memory" if args.command == "fig7" else "memory sync"
-        _emit(rows, f"Figure {args.command[3:]} — ordering effect ({label})", out, args.command)
-        mx, avg = result.stats()
-        print(f"ordering spread: max {mx:.1f}%  avg {avg:.1f}%")
-        return 0
-
-    if args.command == "fig9":
-        result = ex.fig9_power_concurrency(
-            pair=tuple(args.pair), num_apps=args.apps, scale=scale
-        )
-        rows = [
-            {
-                "scenario": s.label,
-                "NS": s.num_streams,
-                "makespan_ms": s.makespan * 1e3,
-                "energy_J": s.energy,
-                "avg_power_W": s.average_power,
-                "peak_power_W": s.peak_power,
-            }
-            for s in result.scenarios
-        ]
-        _emit(rows, "Figure 9 — power under increasing concurrency", out, "fig9")
-        pair, best = result.best_energy_improvement
-        print(
-            f"energy reduction (full vs serial): avg "
-            f"{result.average_energy_improvement:.1f}%, best {best:.1f}% "
-            f"({pair[0]}+{pair[1]})"
-        )
-        return 0
-
-    if args.command == "fig10":
-        result = ex.fig10_power_sync(
-            pair=tuple(args.pair), num_apps=args.apps, scale=scale
-        )
-        rows = [
-            {
-                "scenario": s.label,
-                "makespan_ms": s.makespan * 1e3,
-                "energy_J": s.energy,
-                "avg_power_W": s.average_power,
-                "peak_power_W": s.peak_power,
-            }
-            for s in result.scenarios
-        ]
-        _emit(rows, "Figure 10 — power: default vs memory sync", out, "fig10")
-        pair, best = result.best_energy_improvement
-        print(
-            f"power delta (sync vs default): {result.power_delta_pct:+.1f}%; "
-            f"energy reduction vs serial: avg "
-            f"{result.average_energy_improvement:.1f}%, best {best:.1f}% "
-            f"({pair[0]}+{pair[1]})"
-        )
+        for table in experiment.tables:
+            _emit(table.rows(result), table.title, out, Path(table.csv_name).stem)
+        if experiment.summary is not None:
+            print(experiment.summary(result))
         return 0
 
     if args.command == "timeline":
@@ -654,35 +520,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(format_table(
             transfer_summary(run.harness.trace), title="Transfer summary"
         ))
-        return 0
-
-    if args.command == "table3":
-        rows = ex.table3_geometry(scale=scale)
-        _emit(rows, "Table III — kernel launch geometry", out, "table3")
-        return 0
-
-    if args.command == "headline":
-        result = ex.headline_numbers(num_apps=args.apps, scale=scale)
-        _emit(result.rows(), "Headline numbers (paper vs measured)", out, "headline")
-        return 0
-
-    if args.command == "homog":
-        result = ex.homogeneous_scaling(
-            apps=args.apps, na_values=args.na, scale=scale
-        )
-        rows = [
-            {
-                "app": r.app,
-                "NA": r.num_apps,
-                "serial_ms": r.serial_makespan * 1e3,
-                "concurrent_ms": r.concurrent_makespan * 1e3,
-                "improvement_pct": r.improvement_pct,
-            }
-            for r in result.rows
-        ]
-        _emit(rows, "Homogeneous self-concurrency scaling", out, "homog")
-        app, best = result.best_improvement()
-        print(f"best: {best:.1f}% ({app})")
         return 0
 
     if args.command == "autotune":
@@ -1178,7 +1015,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "report":
         from .analysis.report import build_report
 
-        report = build_report(args.results)
+        report = build_report(args.results, report_sections())
         if args.write is not None:
             args.write.write_text(report)
             print(f"wrote {args.write}")

@@ -16,11 +16,17 @@ fig9           Figure 9 — power/energy: serial vs half vs full
 fig10          Figure 10 — power/energy: default vs sync
 table3         Table III — launch geometry of the ported applications
 headline       the abstract's aggregate claims
+homogeneous    Section IV's homogeneous case — self-concurrency scaling
+ablation_*     four ablations of the paper's premises (not paper figures)
 =============  =========================================================
 
 Absolute times come from the simulator's calibrated cost model; the paper's
 claims are about the *relative* numbers, which is what the result objects
 expose.
+
+:data:`repro.core.registry.EXPERIMENTS` says how each artifact
+EXPERIMENTS.md reports runs one of these drivers, and which tables and
+summary it prints.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..apps.registry import all_pairs, get_app_class
+from ..framework.harness import HarnessConfig, TestHarness
 from ..framework.metrics import improvement_pct
 from ..scheduling.orders import SchedulingOrder, all_orders, schedule_signature
 from ..gpu.commands import CopyDirection
@@ -38,6 +45,7 @@ from ..gpu.kernels import Dim3, KernelDescriptor
 from ..gpu.specs import DeviceSpec, tesla_k20
 from ..sim.engine import Environment
 from ..sim.trace import TraceRecorder
+from .baselines import chunk_profile, symbiosis_admission
 from .runner import ExperimentRunner, RunConfig, RunResult
 from .workload import Workload
 
@@ -68,6 +76,10 @@ __all__ = [
     "homogeneous_scaling",
     "HeadlineResult",
     "headline_numbers",
+    "ablation_ordering_shared",
+    "ablation_hyperq",
+    "ablation_admission",
+    "ablation_transfers",
 ]
 
 #: The pair the paper uses for its timeline and power illustrations.
@@ -452,6 +464,7 @@ def _ordering_study(
     memory_sync: bool,
     pairs: Optional[Sequence[Tuple[str, str]]],
     num_apps: int,
+    num_streams: int,
     scale: Optional[str],
     runner: Optional[ExperimentRunner],
     seed: int,
@@ -461,7 +474,7 @@ def _ordering_study(
     for pair in pairs or all_pairs():
         workload = Workload.heterogeneous_pair(*pair, num_apps, scale=scale)
         per_order = runner.ordering_matrix(
-            workload, num_streams=num_apps, memory_sync=memory_sync, seed=seed
+            workload, num_streams=num_streams, memory_sync=memory_sync, seed=seed
         )
         worst = max(r.makespan for r in per_order.values())
         for order, run in per_order.items():
@@ -484,7 +497,7 @@ def fig7_ordering_default(
     seed: int = 0,
 ) -> OrderingResult:
     """Figure 7: ordering effect with default transfer behaviour."""
-    return _ordering_study(False, pairs, num_apps, scale, runner, seed)
+    return _ordering_study(False, pairs, num_apps, num_apps, scale, runner, seed)
 
 
 def fig8_ordering_sync(
@@ -495,7 +508,7 @@ def fig8_ordering_sync(
     seed: int = 0,
 ) -> OrderingResult:
     """Figure 8: ordering effect with the transfer mutex enabled."""
-    return _ordering_study(True, pairs, num_apps, scale, runner, seed)
+    return _ordering_study(True, pairs, num_apps, num_apps, scale, runner, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -851,3 +864,144 @@ def headline_numbers(
         max_energy_improvement_sync=max_energy,
         avg_energy_improvement_sync=fig10.average_energy_improvement,
     )
+
+
+# ---------------------------------------------------------------------------
+# Ablations — one premise of the paper varied at a time (not paper figures)
+# ---------------------------------------------------------------------------
+
+#: The pairs of the shared-stream ordering ablation.
+SHARED_STREAM_PAIRS: Tuple[Tuple[str, str], ...] = (
+    ("nn", "srad"),
+    ("needle", "srad"),
+    ("needle", "nn"),
+)
+
+#: Hardware work-queue widths of the Hyper-Q ablation, Fermi's 1 to Kepler's 32.
+QUEUE_WIDTHS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32)
+
+#: Applications per workload in every ablation.
+ABLATION_APPS = 16
+
+
+def ablation_ordering_shared(
+    scale: Optional[str] = None,
+    runner: Optional[ExperimentRunner] = None,
+) -> OrderingResult:
+    """Launch-order effect when applications share streams (NA = 2 NS).
+
+    Figures 7/8 give every application its own stream.  Section III-C also
+    motivates ordering by the other regime: applications mapped to the
+    same stream serialize in launch order, so the order decides who waits
+    behind whom.  Runs with the transfer mutex, like Figure 8.
+    """
+    num_streams = ABLATION_APPS // 2  # two applications per stream
+    return _ordering_study(
+        True, SHARED_STREAM_PAIRS, ABLATION_APPS, num_streams, scale, runner, seed=0
+    )
+
+
+def ablation_hyperq(
+    scale: Optional[str] = None,
+    runner: Optional[ExperimentRunner] = None,
+) -> List[Tuple[int, RunResult]]:
+    """What Hyper-Q itself buys: one workload at every hardware queue width.
+
+    The SMX array stays the same, so queueing is the only variable: one
+    queue falsely serializes independent streams as Fermi does, and
+    Kepler's 32 remove that.  Returns ``(width, run)`` per width.
+    """
+    runner = runner or ExperimentRunner()
+    workload = Workload.heterogeneous_pair(
+        *ILLUSTRATION_PAIR, ABLATION_APPS, scale=scale
+    )
+    out = []
+    for width in QUEUE_WIDTHS:
+        spec = tesla_k20().with_hardware_queues(width)
+        run = runner.run(
+            RunConfig(workload=workload, num_streams=ABLATION_APPS, spec=spec)
+        )
+        out.append((width, run))
+    return out
+
+
+def ablation_admission(
+    scale: Optional[str] = None,
+    runner: Optional[ExperimentRunner] = None,
+) -> List[dict]:
+    """LEFTOVER packing vs symbiosis-style resource-sum admission control.
+
+    Section III-A argues that relying on the hardware's LEFTOVER packing
+    beats admission control (Li et al.), which serializes any pair whose
+    combined request exceeds the device.  Runs every heterogeneous pair
+    under both policies on the same device and schedule.
+    """
+    runner = runner or ExperimentRunner()
+    rows = []
+    for pair in all_pairs():
+        workload = Workload.heterogeneous_pair(*pair, ABLATION_APPS, scale=scale)
+        leftover = runner.run(RunConfig(workload=workload, num_streams=ABLATION_APPS))
+        symbiosis = runner.run(
+            RunConfig(
+                workload=workload,
+                num_streams=ABLATION_APPS,
+                admission=symbiosis_admission(tesla_k20()),
+            )
+        )
+        rows.append(
+            {
+                "pair": f"{pair[0]}+{pair[1]}",
+                "leftover_ms": leftover.makespan * 1e3,
+                "symbiosis_ms": symbiosis.makespan * 1e3,
+                "leftover_advantage_pct": leftover.improvement_over(symbiosis),
+            }
+        )
+    return rows
+
+
+def ablation_transfers(
+    scale: Optional[str] = None,
+    runner: Optional[ExperimentRunner] = None,
+) -> List[dict]:
+    """Transfer policies: batching (the mutex) vs chunking vs a FIFO queue.
+
+    The paper sets its pseudo-burst mutex against Pai et al.'s chunking,
+    which splits copies into small pieces to exploit copy-queue
+    interleaving: right for their 100 MB single transfers, wrong for the
+    paper's many small ones.  Compares the default interleaved queue, the
+    mutex, a FIFO copy queue and 256 KB chunks on {gaussian, needle}.
+    """
+    runner = runner or ExperimentRunner()
+    workload = Workload.heterogeneous_pair(
+        *ILLUSTRATION_PAIR, ABLATION_APPS, scale=scale
+    )
+    harnesses = [
+        (
+            policy,
+            runner.run(
+                RunConfig(workload=workload, num_streams=ABLATION_APPS, **knobs)
+            ).harness,
+        )
+        for policy, knobs in (
+            ("default (interleave)", {}),
+            ("batched (paper mutex)", {"memory_sync": True}),
+            ("fifo copy queue", {"copy_policy": "fifo"}),
+        )
+    ]
+    # Chunking rewrites the application profiles, which no RunConfig does.
+    apps = workload.instantiate()
+    for app in apps:
+        app.profile = chunk_profile(app.profile, chunk_bytes=256 * 1024)
+    harnesses.append((
+        "chunked 256KB (Pai et al.)",
+        TestHarness(HarnessConfig(apps=apps, num_streams=ABLATION_APPS)).run(),
+    ))
+    return [
+        {
+            "policy": policy,
+            "makespan_ms": harness.makespan * 1e3,
+            "avg_Le_ms": harness.effective_latency() * 1e3,
+        }
+        for policy, harness in harnesses
+    ]
+

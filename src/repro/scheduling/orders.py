@@ -181,9 +181,9 @@ def schedule_signature(
 def ordering_rows(result) -> List[dict]:
     """Flatten an ``OrderingResult`` into the Figure 7/8 table rows.
 
-    One shared implementation for the CLI ``fig7``/``fig8`` handlers and
-    ``bench_fig07`` / ``bench_fig08`` (which previously each carried their
-    own copy of this dict comprehension).
+    The row builder of the ``fig7``, ``fig8`` and
+    ``ablation-ordering-shared`` tables in
+    :data:`repro.core.registry.EXPERIMENTS`.
     """
     return [
         {

@@ -4,13 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.report import SECTIONS, build_report, read_results_csv
+from repro.analysis.report import build_report, read_results_csv
 from repro.analysis.tables import write_csv
+from repro.core.registry import report_sections
 
 
 class TestSections:
     def test_every_figure_and_table_covered(self):
-        csvs = {s.csv_name for s in SECTIONS}
+        csvs = {s.csv_name for s in report_sections()}
         # Paper artifacts 1-10 plus Table III plus headline.
         for fig in range(1, 11):
             assert any(f"fig{fig:02d}" in c for c in csvs), fig
@@ -18,7 +19,7 @@ class TestSections:
         assert "headline_numbers.csv" in csvs
 
     def test_ablations_covered(self):
-        csvs = {s.csv_name for s in SECTIONS}
+        csvs = {s.csv_name for s in report_sections()}
         assert "ablation_hyperq_width.csv" in csvs
         assert "ablation_admission.csv" in csvs
         assert "ablation_transfers.csv" in csvs
@@ -26,23 +27,25 @@ class TestSections:
 
 class TestBuildReport:
     def test_empty_results_dir(self, tmp_path):
-        report = build_report(tmp_path)
+        report = build_report(tmp_path, report_sections())
         assert report.startswith("# EXPERIMENTS")
-        assert report.count("Not yet generated") == len(SECTIONS)
+        assert report.count("Not yet generated") == len(report_sections())
 
     def test_csv_rendered_as_markdown(self, tmp_path):
         write_csv(
             [{"pair": "nn+srad", "improvement_pct": 42.123}],
             tmp_path / "fig04_concurrency_speedup.csv",
         )
-        report = build_report(tmp_path)
+        report = build_report(tmp_path, report_sections())
         assert "| pair | improvement_pct |" in report
         assert "42.123" in report
         # Other sections still placeholder.
         assert "Not yet generated" in report
 
     def test_preamble_included(self, tmp_path):
-        report = build_report(tmp_path, preamble="Custom context.")
+        report = build_report(
+            tmp_path, report_sections(), preamble="Custom context."
+        )
         assert "Custom context." in report
 
     def test_numeric_coercion(self, tmp_path):
@@ -50,7 +53,7 @@ class TestBuildReport:
             [{"NA": "8", "ratio": "2.50000"}],
             tmp_path / "fig06_effective_latency.csv",
         )
-        report = build_report(tmp_path)
+        report = build_report(tmp_path, report_sections())
         # Integers render without decimals, floats with fixed precision.
         assert "| 8 | 2.500 |" in report
 

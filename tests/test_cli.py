@@ -12,11 +12,12 @@ class TestParser:
             a for a in parser._actions if a.dest == "command"
         )
         assert set(sub.choices) == {
-            "list", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-            "fig9", "fig10", "timeline", "table3", "headline",
+            "list", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
+            "fig8", "fig9", "fig10", "timeline", "table3", "headline",
             "autotune", "streaming", "report", "homog", "resilience",
             "serve", "schedule", "fleet", "telemetry", "trace", "traffic",
-            "verify",
+            "verify", "ablation-ordering-shared", "ablation-hyperq",
+            "ablation-admission", "ablation-transfers",
         }
 
     def test_requires_command(self, capsys):
@@ -55,16 +56,16 @@ class TestCommands:
             "fig4", "--na", "4", "--pair", "nn", "needle",
         ])
         assert code == 0
-        assert (tmp_path / "fig4.csv").exists()
+        assert (tmp_path / "fig04_concurrency_speedup.csv").exists()
         out = capsys.readouterr().out
         assert "improvement_pct" in out
-        assert "full:" in out
+        assert "full-concurrent:" in out
 
     def test_fig6_tiny(self, capsys):
         assert main([
             "--scale", "tiny", "fig6", "--pair", "nn", "needle", "--na", "4",
         ]) == 0
-        assert "default_x" in capsys.readouterr().out
+        assert "default_vs_expected" in capsys.readouterr().out
 
     def test_timeline(self, capsys):
         assert main([
@@ -106,7 +107,7 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "improvement_pct" in out
-        assert "best:" in out
+        assert "best self-concurrency gain:" in out
 
     def test_resilience_tiny_with_csv(self, tmp_path, capsys):
         code = main([
