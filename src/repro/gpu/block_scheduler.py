@@ -14,9 +14,14 @@ Implementation notes
   that shares a single completion event — this keeps the event count
   proportional to scheduling waves rather than thread blocks, which is what
   makes 32-application experiments tractable in pure Python.
-* Scheduling passes are deferred to a NORMAL-priority event at the current
-  time, so all same-time cohort retirements release their resources before
-  the next pass runs (and multiple triggers coalesce into one pass).
+* A scheduling pass usually runs from a NORMAL-priority calendar entry at
+  the current time, so all same-time cohort retirements release their
+  resources before it runs (and multiple triggers coalesce into one pass).
+  The exception is a retirement that finishes its grid and whose command
+  the device settles inline (no calendar event due at or before now, see
+  :meth:`repro.gpu.device.GPUDevice._settle`): that pass would have been
+  the next event popped, so it runs inline, or not at all when no grid
+  waits for blocks.
 * A pass walks only the grids that still have blocks to place, kept in
   arrival order beside the full in-flight list, so grids whose last
   cohorts are merely running cost it nothing.
@@ -28,11 +33,12 @@ Implementation notes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, List, Optional
 
 from ..resilience.faults import FaultInjector, FaultKind
 from ..sim.engine import Environment
-from ..sim.errors import FaultError
+from ..sim.errors import FaultError, ScheduleError
 from ..sim.events import NORMAL, Event
 from ..sim.trace import TraceRecorder
 from .commands import KernelLaunchCommand
@@ -40,6 +46,13 @@ from .kernels import KernelDescriptor
 from .smx import Placement, SMXArray
 
 __all__ = ["GridEngine", "GridState"]
+
+
+def _succeed_on_calendar(cmd: KernelLaunchCommand) -> bool:
+    """The settle hook of an engine without a device: ``done`` succeeds
+    onto the calendar, never inline."""
+    cmd.done.succeed(cmd.env.now)
+    return False
 
 
 @dataclass(eq=False)
@@ -66,6 +79,21 @@ class GridState:
     def finished(self) -> bool:
         """All blocks placed and retired."""
         return self.to_place == 0 and self.outstanding == 0
+
+
+class _Pass(Event):
+    """A scheduling pass's calendar entry, triggered when created."""
+
+    __slots__ = ()
+
+    def __init__(
+        self, env: Environment, callback: Callable[["_Pass"], None]
+    ) -> None:
+        self.env = env
+        self.callbacks = [callback]
+        self._value = None
+        self._ok = True
+        self._defused = False
 
 
 class _Retirement(Event):
@@ -104,6 +132,11 @@ class GridEngine:
         Optional recorder; one ``kernel`` span per launch command.
     on_change:
         Callback invoked after every occupancy change (power model hook).
+    settle:
+        ``(cmd) -> bool`` that completes a finished launch's ``done``
+        event and returns whether it settled inline, with no calendar
+        entry (the device's :meth:`~repro.gpu.device.GPUDevice._settle`).
+        The default succeeds ``done`` onto the calendar.
     admission:
         Optional ``(GridState, List[GridState]) -> bool`` called before a
         *new* grid may receive blocks while other grids are active.  The
@@ -134,6 +167,7 @@ class GridEngine:
         smx_array: SMXArray,
         trace: Optional[TraceRecorder] = None,
         on_change: Optional[Callable[[], None]] = None,
+        settle: Optional[Callable[[KernelLaunchCommand], bool]] = None,
         admission: Optional[Callable[[GridState, List["GridState"]], bool]] = None,
         injector: Optional[FaultInjector] = None,
         max_concurrent_grids: int = 32,
@@ -145,6 +179,7 @@ class GridEngine:
         self.smx = smx_array
         self.trace = trace
         self.on_change = on_change
+        self._settle = settle or _succeed_on_calendar
         self.admission = admission
         self.injector = injector
         self.max_concurrent_grids = max_concurrent_grids
@@ -157,6 +192,7 @@ class GridEngine:
         # Grids in ``_pending`` with resident blocks (outstanding > 0).
         self._executing = 0
         self._retire_cb = self._retire
+        self._pass_cb = self._run_pass
         self._pass_scheduled = False
         # Statistics
         self.grids_completed: int = 0
@@ -218,15 +254,17 @@ class GridEngine:
         if self._pass_scheduled:
             return
         self._pass_scheduled = True
-        evt = Event(self.env)
-        evt._ok = True
-        evt._value = None
-        evt.callbacks.append(self._run_pass)
+        env = self.env
         # NORMAL priority: runs after all already-queued same-time cohort
         # retirements, so released resources are visible to this pass.
-        self.env.schedule(evt, priority=NORMAL)
+        # Pushed as ``Environment.schedule`` would push it, without the
+        # call, as retirements are (one of each per scheduling wave).
+        heappush(
+            env._queue,
+            (env._now, NORMAL, next(env._eid), _Pass(env, self._pass_cb)),
+        )
 
-    def _run_pass(self, _evt: Event) -> None:
+    def _run_pass(self, _evt: Optional[Event] = None) -> None:
         self._pass_scheduled = False
         now = self.env.now
         changed = False
@@ -295,31 +333,47 @@ class GridEngine:
             self.smx.speed_scale = slow
             if slow != 1.0:
                 duration *= slow
+        env = self.env
+        now = env._now
         q = self.retire_quantum
         if q > 0:
             # Round the absolute retirement instant up to the quantum so
             # near-simultaneous cohorts coalesce into one scheduling pass.
-            now = self.env.now
             target = now + duration
             quantized = -(-target // q) * q  # ceil to the grid
             duration = quantized - now
-        evt = _Retirement(self.env, grid, placements, placed, self._retire_cb)
-        self.env.schedule(evt, delay=duration, priority=NORMAL)
+        if duration < 0:
+            raise ScheduleError(f"negative delay {duration!r}")
+        heappush(
+            env._queue,
+            (
+                now + duration,
+                NORMAL,
+                next(env._eid),
+                _Retirement(env, grid, placements, placed, self._retire_cb),
+            ),
+        )
 
     def _retire(self, evt: _Retirement) -> None:
-        """Give a retired cohort's resources back and schedule a pass."""
+        """Give a retired cohort's resources back, then let grids place."""
         grid = evt.grid
         self.smx.release(grid.kernel, evt.placements)
         grid.outstanding -= evt.placed
         if grid.outstanding == 0:
             self._executing -= 1
-        if grid.finished:
-            self._finish(grid)
+        if grid.finished and self._finish(grid):
+            # Settled inline: the device has updated power, and the pass
+            # below would have been the next event popped, so it runs
+            # now, or not at all when no grid waits for blocks.
+            if self._unplaced:
+                self._run_pass()
+            return
         if self.on_change is not None:
             self.on_change()
         self._request_pass()
 
-    def _finish(self, grid: GridState) -> None:
+    def _finish(self, grid: GridState) -> bool:
+        """Complete a grid's launch; ``True`` if it settled inline."""
         now = self.env.now
         self._pending.remove(grid)
         self.grids_completed += 1
@@ -337,4 +391,4 @@ class GridEngine:
                 blocks=cmd.descriptor.num_blocks,
                 waves=grid.waves,
             )
-        cmd.done.succeed(now)
+        return self._settle(cmd)

@@ -17,14 +17,20 @@ events that model code and metrics hang off:
 
 ``ready`` and ``started`` are set with :meth:`~repro.sim.events.Event.stamp`:
 nothing in the model waits on them, so they take no calendar entry unless
-a callback was registered before the trigger.
+a callback was registered before the trigger.  A kernel launch's ``done``
+can complete without a calendar entry too: the grid engine hands the
+finished launch to the device's settle method, which marks ``done``
+processed on the spot when the device's own retire callback is its only
+subscriber and no calendar event is due at or before now (see
+:meth:`repro.gpu.device.GPUDevice._settle`).  Anything that waits on
+``done`` keeps it on the calendar, and copies and markers always take it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from itertools import count
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..sim.events import Event
 from .kernels import KernelDescriptor
@@ -74,7 +80,6 @@ class Command:
         self.ready: Event = Event(env)
         self.started: Event = Event(env)
         self.done: Event = Event(env)
-        self.meta: Dict[str, Any] = {}
 
     def __repr__(self) -> str:
         return (

@@ -6,6 +6,9 @@ commands; the device wires each command's ordering dependencies (in-stream
 FIFO plus hardware work-queue FIFO, per :mod:`repro.gpu.hyperq`), routes
 ready commands to the right engine (DMA per direction, grid engine for
 kernels) and keeps the power model informed of every activity change.
+A finished kernel launch comes back through :meth:`GPUDevice._settle`,
+which completes it without a calendar event when nothing observes the
+completion.
 
 The device knows nothing about applications, scheduling policies or the
 paper's experiments — it is the substrate those layers run on.
@@ -36,6 +39,35 @@ from .smx import SMXArray
 from .specs import DeviceSpec, tesla_k20
 
 __all__ = ["DeviceStream", "GPUDevice"]
+
+
+def _calendar_clear(env: Environment) -> bool:
+    """Whether no calendar event is due at or before ``env.now``."""
+    return env.peek() > env.now
+
+
+def _too_many_resources(
+    descriptor: KernelDescriptor, spec: DeviceSpec
+) -> ValueError:
+    """CUDA's "too many resources requested for launch", naming the first
+    resource one block of ``descriptor`` needs more of than an SMX has."""
+    smx = spec.smx
+    for needed, has, what in (
+        (descriptor.threads_per_block, smx.max_threads, "threads"),
+        (
+            descriptor.shared_mem_per_block,
+            smx.shared_memory,
+            "bytes of shared memory",
+        ),
+        (descriptor.registers_per_block, smx.registers, "registers"),
+    ):
+        if needed > has:
+            break
+    return ValueError(
+        f"too many resources requested for launch: one block of "
+        f"{descriptor.name} needs {needed} {what}, and an SMX of "
+        f"{spec.name} has {has}"
+    )
 
 
 class DeviceStream:
@@ -76,7 +108,19 @@ class DeviceStream:
     def enqueue_kernel(
         self, descriptor: KernelDescriptor, app_id: Optional[str] = None
     ) -> KernelLaunchCommand:
-        """Enqueue a kernel launch; returns immediately."""
+        """Enqueue a kernel launch; returns immediately.
+
+        Raises :class:`ValueError` when one block of ``descriptor`` needs
+        more threads, registers or shared memory than an empty SMX has:
+        such a grid could never be placed.
+        """
+        smx = self.device.spec.smx
+        if (
+            descriptor.threads_per_block > smx.max_threads
+            or descriptor.shared_mem_per_block > smx.shared_memory
+            or descriptor.registers_per_block > smx.registers
+        ):
+            raise _too_many_resources(descriptor, self.device.spec)
         cmd = KernelLaunchCommand(self.device.env, descriptor, app_id=app_id)
         self.device._enqueue(self, cmd)
         return cmd
@@ -154,6 +198,7 @@ class GPUDevice:
             self.smx,
             trace=trace,
             on_change=self._power_changed,
+            settle=self._settle,
             admission=admission,
             injector=injector,
         )
@@ -262,6 +307,31 @@ class GPUDevice:
             raise TypeError(f"cannot dispatch {cmd!r}")
         if prev == 0:
             self._power_changed()
+
+    def _settle(self, cmd: KernelLaunchCommand) -> bool:
+        """Complete a finished launch's ``done`` event at the current time.
+
+        The grid engine's settle hook, called from a cohort retirement.
+        Returns ``True`` when ``done`` settled inline, with no calendar
+        entry.  That takes two things: the device's retire callback is
+        the only callback on ``done``, and no calendar event is due at or
+        before now.  Then ``succeed`` would put ``done`` next in line, and
+        popping it would only run that callback, so it runs here instead:
+        ``done`` is stamped with no subscriber left, and the in-flight
+        counts and power update on the spot.  Otherwise ``done`` succeeds
+        onto the calendar.
+        """
+        done = cmd.done
+        env = self.env
+        # ``_dispatch`` adds the retire callback before the engine sees
+        # the launch, so a single callback is that one.
+        if len(done.callbacks) == 1 and _calendar_clear(env):
+            done.callbacks.clear()
+            done.stamp(env.now)
+            self._command_retired(cmd.stream_id)
+            return True
+        done.succeed(env.now)
+        return False
 
     def _command_retired(self, stream_id: Optional[int]) -> None:
         self._inflight -= 1

@@ -120,8 +120,19 @@ class PowerModel:
 
         The new power is exactly ``evaluate(PowerState(occupancy=
         min(resident_threads / thread_capacity, 1.0), ...))``: the same
-        float operations in the same order.  Every call is evaluated,
-        because :attr:`peak_power` counts same-instant transients.
+        float operations in the same order.  Every call is evaluated, and
+        :attr:`peak_power` counts same-instant transients.  So a caller
+        may drop an update only when its power is no higher than the
+        current power, and the next update, at the same instant, gives
+        no more than it.  Dropping it then moves no segment, energy or
+        peak value.  The peak already holds the current power.  At one
+        instant, the first update that differs from the power the
+        instant opened with closes the open segment, and later ones only
+        replace the new segment's power.  Had the dropped update been
+        that first one, the current power is still the opening power,
+        so the next update, below it too, closes the segment at the
+        same instant.  The device's inline settle of a finished kernel
+        launch drops the grid engine's update this way.
         """
         if dma_busy < 0 or active_streams < 0:
             raise ValueError("negative activity counts")

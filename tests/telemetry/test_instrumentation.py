@@ -19,9 +19,13 @@ from repro.core.runner import quick_run
 from repro.core.streaming import ConcurrencyCapDispatcher, poisson_arrivals
 from repro.fleet import FleetConfig, FleetHarness
 from repro.gpu.commands import CopyDirection
+from repro.gpu.device import GPUDevice
+from repro.gpu.kernels import Dim3, KernelDescriptor
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
 from repro.serving import BreakerConfig, ServingConfig, run_serving
+from repro.sim.engine import Environment
 from repro.telemetry import Telemetry
+from repro.telemetry.probes import instrument_device
 
 pytestmark = pytest.mark.telemetry
 
@@ -183,6 +187,21 @@ class TestRunnerMetricsTruthful:
     def test_grids_completed_positive(self, run):
         _, final = run
         assert _sum_series(final, "repro_gpu_grids_completed_total") > 0
+
+
+class TestDeviceGaugesTruthful:
+    def test_hyperq_queues_in_use_counts_streams_with_work(self):
+        env = Environment()
+        device = GPUDevice(env)
+        telemetry = Telemetry(interval=INTERVAL)
+        telemetry.attach(env)
+        instrument_device(telemetry, device)
+        streams = [device.create_stream() for _ in range(3)]
+        name = "repro_gpu_hyperq_queues_in_use"
+        # Created streams map to no hardware queue until they enqueue.
+        assert _sum_series(telemetry.sampler.sample_now().values, name) == 0
+        streams[1].enqueue_kernel(KernelDescriptor("k", Dim3(1), Dim3(32)))
+        assert _sum_series(telemetry.sampler.sample_now().values, name) == 1
 
 
 class TestServingMetricsTruthful:
