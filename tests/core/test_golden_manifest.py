@@ -2,8 +2,9 @@
 
 ``golden_manifest.json`` pins the sha1 of every CSV each entry of
 :data:`repro.core.registry.EXPERIMENTS` writes, of the Chrome traces
-of Figure 1's default and synchronized runs, and of the report
-:func:`repro.analysis.report.build_report` assembles from those CSVs.
+of Figure 1's default and synchronized runs, of the report
+:func:`repro.analysis.report.build_report` assembles from those CSVs,
+and of what the serving commands write (:data:`SERVING_COMMANDS`).
 The CSVs come from the CLI (``python -m repro --scale tiny --out DIR
 <entry>``), so the test also proves that every figure command writes
 the paper bench's tables.  A refactor that claims unchanged behaviour
@@ -38,6 +39,21 @@ SCALE = "tiny"
 
 Hashes = Dict[str, Dict[str, str]]
 
+#: CLI commands over the arrival-driven serving engine, with the files
+#: each writes under ``--out``.
+SERVING_COMMANDS = {
+    "streaming": (["streaming"], ["streaming.csv"]),
+    "serve": (["serve"], ["serving.csv", "serving_outcomes.csv"]),
+    "traffic": (
+        ["traffic", "--requests", "200"],
+        ["traffic_steady_reject.csv"],
+    ),
+    "traffic-batched": (
+        ["traffic", "--batched", "--requests", "200"],
+        ["traffic_leaderboard.json"],
+    ),
+}
+
 
 def _sha1(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
@@ -61,6 +77,11 @@ def compute(out_dir: Path) -> Hashes:
         hashes["fig1-traces"][path.name] = _sha1(path.read_bytes())
     report = build_report(out_dir, report_sections())
     hashes["report"] = {"EXPERIMENTS.md": _sha1(report.encode("utf-8"))}
+    for name, (argv, files) in SERVING_COMMANDS.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--scale", SCALE, "--out", str(out_dir), *argv])
+        assert code == 0, name
+        hashes[name] = {f: _sha1((out_dir / f).read_bytes()) for f in files}
     return hashes
 
 
