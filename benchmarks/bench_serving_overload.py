@@ -23,12 +23,14 @@ import pytest
 from conftest import checkpoint_rows, once
 
 from repro.analysis.tables import format_table
-from repro.core.streaming import (
+from repro.serving import (
     ConcurrencyCapDispatcher,
     GreedyDispatcher,
+    ServingConfig,
+    measure_service_baselines,
     poisson_arrivals,
+    run_serving,
 )
-from repro.serving import ServingConfig, measure_service_baselines, run_serving
 
 pytestmark = pytest.mark.serving
 

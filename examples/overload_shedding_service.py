@@ -24,16 +24,14 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from repro.core.streaming import (
-    ConcurrencyCapDispatcher,
-    GreedyDispatcher,
-    poisson_arrivals,
-)
 from repro.resilience import FaultKind, FaultPlan, FaultSpec
 from repro.serving import (
+    ConcurrencyCapDispatcher,
+    GreedyDispatcher,
     RunJournal,
     ServingConfig,
     measure_service_baselines,
+    poisson_arrivals,
     run_serving,
 )
 from repro.sim.errors import HarnessCrash

@@ -18,12 +18,12 @@ Run:
 
 import argparse
 
-from repro.core.streaming import (
+from repro.serving import (
     ConcurrencyCapDispatcher,
     GreedyDispatcher,
     PowerCapDispatcher,
     poisson_arrivals,
-    run_streaming,
+    run_serving,
 )
 
 
@@ -62,7 +62,7 @@ def main() -> None:
     print("-" * len(header))
     results = []
     for dispatcher in dispatchers:
-        result = run_streaming(
+        result = run_serving(
             arrivals,
             dispatcher,
             num_streams=args.streams,

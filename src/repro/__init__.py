@@ -15,8 +15,9 @@ The package layers, bottom-up:
 * :mod:`repro.resilience` -- fault injection, watchdog, retries and
   graceful concurrency degradation.
 * :mod:`repro.core` -- the experiment layer reproducing every figure.
-* :mod:`repro.serving` -- overload-resilient serving on the streaming
-  dispatcher (bounded admission, SLO shedding, breakers, run journal).
+* :mod:`repro.serving` -- arrival-driven serving: online dispatchers and
+  the one open-loop engine (bounded admission, SLO shedding, breakers,
+  run journal).
 * :mod:`repro.analysis` -- timelines, tables and statistics.
 
 Quickstart::

@@ -73,7 +73,7 @@ def _add_traffic_args(
 
 def _traffic(args: argparse.Namespace):
     """The arrivals and dispatcher an :func:`_add_traffic_args` group asks for."""
-    from .core.streaming import (
+    from .serving import (
         ConcurrencyCapDispatcher,
         GreedyDispatcher,
         poisson_arrivals,
@@ -1024,12 +1024,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "streaming":
-        from .core.streaming import (
+        from .serving import (
             ConcurrencyCapDispatcher,
             GreedyDispatcher,
             PowerCapDispatcher,
             poisson_arrivals,
-            run_streaming,
+            run_serving,
         )
 
         arrivals = poisson_arrivals(
@@ -1044,7 +1044,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ConcurrencyCapDispatcher(1),
             PowerCapDispatcher(args.power_cap),
         ):
-            result = run_streaming(
+            result = run_serving(
                 arrivals, dispatcher, num_streams=args.streams, scale=scale
             )
             rows.append(

@@ -1,8 +1,11 @@
-"""Overload-resilient serving layer on top of the streaming dispatcher.
+"""Arrival-driven serving: the paper's streaming-workload extension.
 
 The paper frames its harness as the substrate for "intelligent scheduler
-algorithms to ... manage streaming workloads"; :mod:`repro.core.streaming`
-built the open-loop dispatcher, and this package makes it survivable under
+algorithms to ... manage streaming workloads".  This package holds the
+one open-loop engine, :func:`run_serving`: arrivals
+(:func:`poisson_arrivals` or a :mod:`repro.workload` stream) are admitted
+by an online dispatcher (greedy, concurrency cap or power cap; see
+:mod:`repro.serving.dispatch`), and the engine stays survivable under
 overload and faults:
 
 * **Bounded admission** — a finite queue with a backpressure policy
@@ -36,6 +39,15 @@ from .config import (
     FleetServingConfig,
     ServingConfig,
 )
+from .dispatch import (
+    AdmissionStallWarning,
+    Arrival,
+    ConcurrencyCapDispatcher,
+    Dispatcher,
+    GreedyDispatcher,
+    PowerCapDispatcher,
+    poisson_arrivals,
+)
 from .fleet_gate import FleetCapacityGate
 from .journal import (
     JOURNAL_FORMAT,
@@ -56,24 +68,31 @@ from .service import (
 )
 
 __all__ = [
+    "AdmissionStallWarning",
+    "Arrival",
     "BatchOutcome",
     "BatchedServingResult",
     "BreakerConfig",
     "BreakerState",
     "CircuitBreakerPanel",
+    "ConcurrencyCapDispatcher",
+    "Dispatcher",
     "FleetCapacityGate",
     "FleetServingConfig",
+    "GreedyDispatcher",
     "JOURNAL_FORMAT",
     "JOURNAL_VERSION",
     "LEGACY_JOURNAL_VERSION",
     "JournalError",
     "JournalMismatchError",
+    "PowerCapDispatcher",
     "QUEUE_POLICIES",
     "RunJournal",
     "SHED_OUTCOMES",
     "ServingConfig",
     "ServingResult",
     "measure_service_baselines",
+    "poisson_arrivals",
     "run_batched_serving",
     "run_serving",
 ]

@@ -67,9 +67,9 @@ class _TypeBreaker:
 class CircuitBreakerPanel:
     """One circuit breaker per application type, lazily created.
 
-    This is the engine-facing duck type consumed by
-    :class:`~repro.core.streaming.ServingHooks`: :meth:`allow` gates
-    release, :meth:`on_success` / :meth:`on_failure` feed outcomes back.
+    :func:`~repro.serving.run_serving` consults it at release time:
+    :meth:`allow` gates release, :meth:`on_success` / :meth:`on_failure`
+    feed outcomes back.
     """
 
     def __init__(self, config: BreakerConfig, seed: int = 0, telemetry=None) -> None:

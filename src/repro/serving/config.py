@@ -6,8 +6,9 @@ deadline-aware shedding, circuit breaking and fault injection are all
 declared here, immutably, so a config object fully identifies an
 experiment (it participates in the run journal's fingerprint).
 
-A default-constructed config is *inert*: ``run_serving`` with it produces
-byte-identical results to :func:`repro.core.streaming.run_streaming`.
+A default-constructed config is *inert*: every arrival is admitted when
+the dispatcher allows it and runs to completion, with no deadline, no
+shedding, no breaker and no fault.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class FleetServingConfig:
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Everything the serving layer adds on top of a streaming run.
+    """Everything the serving layer adds on top of a plain open-loop run.
 
     Attributes
     ----------
@@ -151,18 +152,22 @@ class ServingConfig:
     slo_factor:
         Each job's SLO deadline is ``arrival + slo_factor * baseline``
         where ``baseline`` is its type's serial-baseline runtime.  ``0``
-        disables SLOs entirely.
+        computes no deadlines; a deadline carried on an arrival still
+        applies.
     slo_jitter:
         Relative deadline jitter, ``Uniform(-jitter, +jitter)`` scaled
         onto the SLO window per arrival (seeded; reproducible).
     baseline_runtimes:
-        ``((type_name, seconds), ...)`` serial baselines.  ``None`` means
-        measure them (one cached single-app serial run per type, exactly
-        the watchdog-deadline convention of :mod:`repro.resilience`).
+        ``((type_name, seconds), ...)`` serial baselines, used as the
+        service estimates whenever given.  ``None`` with ``slo_factor > 0``
+        means measure them (one cached single-app serial run per type,
+        exactly the watchdog-deadline convention of
+        :mod:`repro.resilience`).
     shed_unreachable:
         Shed a job at release time when its queueing delay already makes
-        the deadline unreachable (``now + baseline > deadline``).  Only
-        meaningful with ``slo_factor > 0``.
+        the deadline unreachable (``now + baseline > deadline``).  Takes
+        effect whenever baselines exist, for a list and an iterator
+        alike.
     breaker:
         :class:`BreakerConfig` enabling per-app-type circuit breakers, or
         ``None``.
@@ -209,14 +214,3 @@ class ServingConfig:
                 "baseline_runtimes",
                 tuple((str(n), float(t)) for n, t in self.baseline_runtimes),
             )
-
-    @property
-    def inactive(self) -> bool:
-        """Whether this config changes nothing about a streaming run."""
-        return (
-            self.queue_depth == 0
-            and self.slo_factor == 0.0
-            and self.breaker is None
-            and (self.plan is None or self.plan.empty)
-            and self.fleet is None
-        )

@@ -1,6 +1,6 @@
 """Fleet-aware admission capacity, routing and breaker scoping.
 
-The streaming engine simulates *one* executor; a serving deployment spans
+The serving engine simulates *one* executor; a serving deployment spans
 several devices.  :class:`FleetCapacityGate` closes that gap as a pure
 capacity/routing model layered over the engine:
 

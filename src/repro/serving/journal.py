@@ -97,8 +97,8 @@ class RunJournal:
     Lifecycle: construct with a path (and the header's ``format`` name
     and ``version``), :meth:`begin` (fresh or resuming), feed every entry
     through :meth:`record`, then end the run with :meth:`finish` (it
-    completed) or :meth:`crash` (it died).  The object is the ``journal``
-    duck type consumed by :class:`~repro.core.streaming.ServingHooks`.
+    completed) or :meth:`crash` (it died).  :func:`~repro.serving.run_serving`
+    records one entry per terminal outcome.
     """
 
     def __init__(

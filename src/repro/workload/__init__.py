@@ -10,8 +10,8 @@ with crash-resume cursors (:mod:`~repro.workload.trace`).  Canonical
 load-normalized scenarios live in :mod:`~repro.workload.scenarios`.
 
 Everything here is off by default: no existing entry point imports this
-package, and the serving/streaming hooks it drives are inert unless a
-traffic run engages them.  See ``docs/workloads.md``.
+package, and the serving features it drives are inert unless a traffic
+run engages them.  See ``docs/workloads.md``.
 """
 
 from .arrivals import (

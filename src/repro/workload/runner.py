@@ -30,8 +30,13 @@ from collections import Counter as _Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.streaming import ConcurrencyCapDispatcher, GreedyDispatcher
-from ..serving import ServingConfig, run_batched_serving, run_serving
+from ..serving import (
+    ConcurrencyCapDispatcher,
+    GreedyDispatcher,
+    ServingConfig,
+    run_batched_serving,
+    run_serving,
+)
 from .scenarios import BuiltScenario
 from .trace import TraceError, read_trace
 

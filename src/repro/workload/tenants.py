@@ -11,7 +11,7 @@ each arrival draws its sub-tenant id from a seeded positional stream
 tenants costs exactly as much as one with 10.
 
 :class:`TrafficStream` lazily merges the per-class streams by arrival
-time into one globally-indexed :class:`~repro.core.streaming.Arrival`
+time into one globally-indexed :class:`~repro.serving.Arrival`
 iterator.  Every random draw is chunk-seeded and positional, which gives
 the two load-bearing properties:
 
@@ -33,7 +33,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.streaming import Arrival
+from ..serving import Arrival
 from .arrivals import DEFAULT_CHUNK, ArrivalSpec
 
 __all__ = [
@@ -235,7 +235,7 @@ def _draw_tenant_id(cls: TenantClass, u: float) -> int:
 class TrafficStream:
     """Lazily merged multi-tenant arrival stream with O(1) cursors.
 
-    Iterates :class:`~repro.core.streaming.Arrival` objects ordered by
+    Iterates :class:`~repro.serving.Arrival` objects ordered by
     time (ties broken by class declaration order), globally indexed from
     0.  Bounded by ``duration`` (simulated seconds), ``limit``
     (arrival count) or both; at least one bound is required.

@@ -38,7 +38,7 @@ import os
 from pathlib import Path
 from typing import Dict, Iterator, Optional
 
-from ..core.streaming import Arrival
+from ..serving import Arrival
 from ..integrity.record import (
     JournalIntegrityError,
     decode_line,
@@ -104,7 +104,7 @@ def payload_arrival(payload: Dict) -> Arrival:
 class TraceReader:
     """Streaming reader: header eagerly validated, arrivals lazily decoded.
 
-    Iterating yields :class:`~repro.core.streaming.Arrival` objects;
+    Iterating yields :class:`~repro.serving.Arrival` objects;
     every line's checksum and sequence number is verified on the way
     through (corruption raises :class:`TraceError` at the offending
     line, not garbage arrivals downstream).

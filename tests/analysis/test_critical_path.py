@@ -7,10 +7,10 @@ from repro.analysis import (
     extract_critical_paths,
     top_slowest,
 )
-from repro.core.streaming import (
+from repro.serving import (
     ConcurrencyCapDispatcher,
     poisson_arrivals,
-    run_streaming,
+    run_serving,
 )
 from repro.telemetry import Tracer, Tracing
 
@@ -156,7 +156,7 @@ class TestEndToEnd:
             rate=10000.0, duration=0.002,
             type_mix=[("nn", 1), ("needle", 1)], seed=7,
         )
-        run_streaming(
+        run_serving(
             arrivals, ConcurrencyCapDispatcher(3), num_streams=8,
             tracing=tracing,
         )

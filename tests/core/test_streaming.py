@@ -1,18 +1,18 @@
-"""Tests for the streaming workload manager and dispatch policies."""
+"""Tests for arrival traces, dispatch policies and plain open-loop serving."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.streaming import (
+from repro.serving import (
     AdmissionStallWarning,
     Arrival,
     ConcurrencyCapDispatcher,
     GreedyDispatcher,
     PowerCapDispatcher,
     poisson_arrivals,
-    run_streaming,
+    run_serving,
 )
 
 MIX = [("nn", 2), ("needle", 1)]
@@ -75,7 +75,7 @@ class TestDispatchers:
 class TestRunStreaming:
     def test_all_jobs_complete(self):
         arrivals = small_trace()
-        result = run_streaming(
+        result = run_serving(
             arrivals, GreedyDispatcher(), num_streams=16, scale="tiny"
         )
         assert result.jobs == len(arrivals)
@@ -87,11 +87,11 @@ class TestRunStreaming:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            run_streaming([], GreedyDispatcher())
+            run_serving([], GreedyDispatcher())
 
     def test_serialized_cap_one(self):
         arrivals = small_trace(rate=12000)
-        result = run_streaming(
+        result = run_serving(
             arrivals, ConcurrencyCapDispatcher(1), num_streams=16, scale="tiny"
         )
         assert result.peak_in_flight == 1
@@ -106,17 +106,17 @@ class TestRunStreaming:
 
     def test_cap_enforced(self):
         arrivals = small_trace(rate=16000)
-        result = run_streaming(
+        result = run_serving(
             arrivals, ConcurrencyCapDispatcher(3), num_streams=16, scale="tiny"
         )
         assert result.peak_in_flight <= 3
 
     def test_greedy_faster_than_serialized(self):
         arrivals = small_trace(rate=16000)
-        greedy = run_streaming(
+        greedy = run_serving(
             arrivals, GreedyDispatcher(), num_streams=16, scale="tiny"
         )
-        serial = run_streaming(
+        serial = run_serving(
             arrivals, ConcurrencyCapDispatcher(1), num_streams=16, scale="tiny"
         )
         assert greedy.mean_sojourn < serial.mean_sojourn
@@ -124,10 +124,10 @@ class TestRunStreaming:
 
     def test_power_cap_limits_admission_under_load(self):
         arrivals = small_trace(rate=20000)
-        greedy = run_streaming(
+        greedy = run_serving(
             arrivals, GreedyDispatcher(), num_streams=16, scale="tiny"
         )
-        capped = run_streaming(
+        capped = run_serving(
             arrivals,
             PowerCapDispatcher(max(greedy.average_power * 0.9, 48.0)),
             num_streams=16,
@@ -140,19 +140,23 @@ class TestRunStreaming:
 
     def test_deterministic(self):
         arrivals = small_trace()
-        a = run_streaming(arrivals, GreedyDispatcher(), num_streams=8, scale="tiny")
-        b = run_streaming(arrivals, GreedyDispatcher(), num_streams=8, scale="tiny")
+        a = run_serving(arrivals, GreedyDispatcher(), num_streams=8, scale="tiny")
+        b = run_serving(arrivals, GreedyDispatcher(), num_streams=8, scale="tiny")
         assert a.completion_time == b.completion_time
         assert a.sojourn_times == b.sojourn_times
 
     def test_summary_text(self):
         arrivals = small_trace()
-        result = run_streaming(arrivals, GreedyDispatcher(), num_streams=8, scale="tiny")
-        assert "jobs/s" in result.summary()
+        result = run_serving(arrivals, GreedyDispatcher(), num_streams=8, scale="tiny")
+        summary = result.summary()
+        assert summary.startswith(f"greedy: {len(arrivals)} arrivals -> ")
+        assert f"{len(arrivals)} completed ({len(arrivals)} in-SLO)" in summary
+        assert "0 shed, 0 failed" in summary
+        assert f"throughput {result.throughput:.0f}/s" in summary
 
     def test_p99_between_p95_and_max(self):
         arrivals = small_trace(rate=16000)
-        result = run_streaming(
+        result = run_serving(
             arrivals, ConcurrencyCapDispatcher(2), num_streams=8, scale="tiny"
         )
         assert result.p95_sojourn <= result.p99_sojourn <= max(result.sojourn_times)
@@ -174,7 +178,7 @@ class TestQueueFairness:
             Arrival(index=3, time=1e-6, type_name="gaussian"),
             Arrival(index=4, time=1e-6, type_name="nn"),
         ]
-        result = run_streaming(
+        result = run_serving(
             arrivals, ConcurrencyCapDispatcher(1), num_streams=4, scale="tiny"
         )
         order = [
@@ -191,7 +195,7 @@ class TestQueueFairness:
             Arrival(index=3, time=1e-6, type_name="nn"),
         ]
         runs = [
-            run_streaming(
+            run_serving(
                 arrivals,
                 ConcurrencyCapDispatcher(1),
                 num_streams=4,
@@ -216,7 +220,7 @@ class TestStallGuard:
         arrivals = small_trace(rate=16000, duration=0.002)
         with warnings.catch_warnings():
             warnings.simplefilter("error", AdmissionStallWarning)
-            result = run_streaming(
+            result = run_serving(
                 arrivals,
                 PowerCapDispatcher(watts=1.0),
                 num_streams=4,
@@ -231,11 +235,11 @@ class TestStallGuard:
         # timeout, so the head-of-line wait for a full drain must trip
         # the guard.
         arrivals = poisson_arrivals(2000, 0.004, [("gaussian", 1)], seed=1)
-        unguarded = run_streaming(
+        unguarded = run_serving(
             arrivals, PowerCapDispatcher(watts=1.0), num_streams=4, scale="tiny"
         )
         with pytest.warns(AdmissionStallWarning):
-            guarded = run_streaming(
+            guarded = run_serving(
                 arrivals,
                 PowerCapDispatcher(watts=1.0, stall_timeout=2e-4),
                 num_streams=4,
@@ -250,7 +254,7 @@ class TestStallGuard:
         arrivals = small_trace(rate=8000, duration=0.002)
         with warnings.catch_warnings():
             warnings.simplefilter("error", AdmissionStallWarning)
-            result = run_streaming(
+            result = run_serving(
                 arrivals,
                 PowerCapDispatcher(watts=500.0, stall_timeout=1e-3),
                 num_streams=8,

@@ -10,12 +10,17 @@ import json
 import pytest
 
 from repro.core.runner import ExperimentRunner, RunConfig
-from repro.core.streaming import ConcurrencyCapDispatcher, poisson_arrivals
 from repro.core.workload import Workload
 from repro.fleet import FleetHarness, FleetResult
 from repro.framework.harness import HarnessResult
 from repro.integrity import decode_line
-from repro.serving import FleetServingConfig, ServingConfig, run_serving
+from repro.serving import (
+    ConcurrencyCapDispatcher,
+    FleetServingConfig,
+    ServingConfig,
+    poisson_arrivals,
+    run_serving,
+)
 
 from .conftest import fast_fleet, make_apps
 
@@ -151,7 +156,3 @@ class TestServingJournalFormatUnchanged:
         assert resumed.recovered_entries == first.jobs
         assert resumed.fleet_devices == 0
         assert resumed.devices_lost == 0
-
-    def test_serving_config_inactive_accounts_for_fleet(self):
-        assert ServingConfig().inactive
-        assert not ServingConfig(fleet=FleetServingConfig()).inactive

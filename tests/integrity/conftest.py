@@ -21,13 +21,14 @@ from typing import Callable, Tuple
 import pytest
 
 from repro.apps.registry import get_app
-from repro.core.streaming import ConcurrencyCapDispatcher, poisson_arrivals
 from repro.fleet import FleetConfig, FleetHarness
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
 from repro.integrity.record import JournalIntegrityError
 from repro.serving import (
+    ConcurrencyCapDispatcher,
     JournalError,
     ServingConfig,
+    poisson_arrivals,
     run_batched_serving,
     run_serving,
 )

@@ -13,13 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.streaming import ConcurrencyCapDispatcher, poisson_arrivals
 from repro.integrity import decode_line, sniff_format
 from repro.serving import (
     JOURNAL_FORMAT,
-    JournalError,
     LEGACY_JOURNAL_VERSION,
+    ConcurrencyCapDispatcher,
+    JournalError,
     ServingConfig,
+    poisson_arrivals,
     run_serving,
 )
 

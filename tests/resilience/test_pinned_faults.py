@@ -16,12 +16,17 @@ from collections import Counter
 
 import pytest
 
-from repro.core.streaming import ConcurrencyCapDispatcher, poisson_arrivals
 from repro.core.workload import Workload
 from repro.framework.harness import HarnessConfig, TestHarness
 from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy
 from repro.resilience.faults import FaultKind
-from repro.serving import BreakerConfig, ServingConfig, run_serving
+from repro.serving import (
+    BreakerConfig,
+    ConcurrencyCapDispatcher,
+    ServingConfig,
+    poisson_arrivals,
+    run_serving,
+)
 from repro.telemetry import Tracing
 
 pytestmark = pytest.mark.resilience

@@ -4,15 +4,19 @@ Overload scenarios use a short, hot trace (arrival rate well above the
 capped service rate) so the finite queue actually fills.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.core.streaming import (
+from repro.serving import (
     ConcurrencyCapDispatcher,
     GreedyDispatcher,
+    ServingConfig,
+    measure_service_baselines,
     poisson_arrivals,
-    run_streaming,
+    run_serving,
 )
-from repro.serving import ServingConfig, run_serving
+from repro.workload import TrafficStats
 
 pytestmark = pytest.mark.serving
 
@@ -37,27 +41,11 @@ def run(policy, qdepth=3, seed=11, **kwargs):
 
 
 class TestInertEquality:
-    """An inert config must not perturb the streaming engine at all."""
+    """An inert config admits every arrival and completes it.
 
-    def test_byte_identical_to_run_streaming(self):
-        arrivals = poisson_arrivals(8000.0, 0.004, [("nn", 2), ("needle", 1)], seed=1)
-        plain = run_streaming(
-            arrivals, GreedyDispatcher(), num_streams=16, scale="tiny"
-        )
-        served = run_serving(
-            arrivals, GreedyDispatcher(), ServingConfig(), num_streams=16
-        )
-        assert served.completion_time == plain.completion_time
-        assert served.energy == plain.energy
-        assert served.sojourn_times == plain.sojourn_times
-        assert served.queue_delays == plain.queue_delays
-        assert served.peak_power == plain.peak_power
-        assert [r.complete_time for r in served.records] == [
-            r.complete_time for r in plain.records
-        ]
-        assert [r.stream_index for r in served.records] == [
-            r.stream_index for r in plain.records
-        ]
+    Its exact outputs are the ``plain`` cell of
+    ``tests/serving/test_pinned_serving.py``.
+    """
 
     def test_outcomes_stamped_even_when_inert(self):
         arrivals = poisson_arrivals(8000.0, 0.002, MIX, seed=2)
@@ -140,6 +128,53 @@ class TestDeadlineShedding:
             overload_trace(), ConcurrencyCapDispatcher(2), cfg, num_streams=4
         )
         assert all(r.slo_deadline > 0 for r in result.records)
+
+    def test_trace_not_starting_at_index_zero(self):
+        arrivals = poisson_arrivals(1500.0, 0.02, MIX, seed=3)[5:]
+        result = run_serving(
+            arrivals,
+            ConcurrencyCapDispatcher(4),
+            ServingConfig(slo_factor=3.0, seed=3),
+            num_streams=8,
+            scale="tiny",
+        )
+        baselines = measure_service_baselines(["gaussian", "nn"], scale="tiny")
+        assert result.jobs == len(arrivals)
+        by_index = {a.index: a for a in arrivals}
+        for record in result.records:
+            arrival = by_index[record.launch_index]
+            assert record.slo_deadline == (
+                arrival.time + 3.0 * baselines[arrival.type_name]
+            )
+
+    def test_list_fed_arrival_deadlines_use_baselines(self):
+        # Arrivals that carry their own deadlines: a list sheds exactly
+        # like an iterator, with the configured baselines as estimates.
+        baselines = measure_service_baselines(["gaussian", "nn"], scale="tiny")
+        arrivals = [
+            dataclasses.replace(
+                a, deadline=a.time + 1.5 * baselines[a.type_name]
+            )
+            for a in poisson_arrivals(4000.0, 0.01, MIX, seed=3)
+        ]
+        cfg = ServingConfig(
+            baseline_runtimes=tuple(sorted(baselines.items())),
+            shed_unreachable=True,
+            seed=3,
+        )
+        runs = [
+            run_serving(
+                trace,
+                ConcurrencyCapDispatcher(2),
+                cfg,
+                num_streams=8,
+                scale="tiny",
+                sink=sink,
+            )
+            for trace, sink in ((arrivals, None), (iter(arrivals), TrafficStats()))
+        ]
+        assert runs[0].outcomes.get("shed-deadline", 0) > 0
+        assert runs[0].outcomes == runs[1].outcomes
 
     def test_slo_jitter_is_seeded(self):
         arrivals = overload_trace()

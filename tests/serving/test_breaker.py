@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.core.streaming import ConcurrencyCapDispatcher, poisson_arrivals
 from repro.resilience import FaultPlan
 from repro.resilience.faults import FaultKind, FaultSpec
 from repro.serving import (
     BreakerConfig,
     BreakerState,
     CircuitBreakerPanel,
+    ConcurrencyCapDispatcher,
     ServingConfig,
+    poisson_arrivals,
     run_serving,
 )
 

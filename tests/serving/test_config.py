@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.resilience import FaultPlan
-from repro.resilience.faults import FaultKind, FaultSpec
 from repro.serving import BreakerConfig, ServingConfig
 
 pytestmark = pytest.mark.serving
@@ -32,15 +30,13 @@ class TestBreakerConfig:
 
 class TestServingConfig:
     def test_default_is_inactive(self):
-        assert ServingConfig().inactive
-
-    def test_active_variants(self):
-        assert not ServingConfig(queue_depth=4).inactive
-        assert not ServingConfig(slo_factor=3.0).inactive
-        assert not ServingConfig(breaker=BreakerConfig()).inactive
-        plan = FaultPlan([FaultSpec(kind=FaultKind.HARNESS_CRASH, time=0.1)])
-        assert not ServingConfig(plan=plan).inactive
-        assert ServingConfig(plan=FaultPlan()).inactive
+        # Every serving feature is off by default: no queue bound, no
+        # SLO, no baselines, no breaker, no fault plan, no fleet.
+        config = ServingConfig()
+        assert config.queue_depth == 0 and config.slo_factor == 0.0
+        assert config.baseline_runtimes is None
+        assert config.breaker is None and config.plan is None
+        assert config.fleet is None
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -2,10 +2,16 @@
 
 import pytest
 
-from repro.core.streaming import ConcurrencyCapDispatcher, poisson_arrivals
 from repro.resilience import FaultPlan
 from repro.resilience.faults import FaultKind, FaultSpec
-from repro.serving import JournalMismatchError, RunJournal, ServingConfig, run_serving
+from repro.serving import (
+    ConcurrencyCapDispatcher,
+    JournalMismatchError,
+    RunJournal,
+    ServingConfig,
+    poisson_arrivals,
+    run_serving,
+)
 from repro.sim.errors import HarnessCrash
 
 pytestmark = pytest.mark.serving

@@ -4,13 +4,14 @@ import math
 
 import pytest
 
-from repro.core.streaming import ConcurrencyCapDispatcher, poisson_arrivals
 from repro.framework.metrics import AppRecord
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
 from repro.serving import (
+    ConcurrencyCapDispatcher,
     FleetCapacityGate,
     FleetServingConfig,
     ServingConfig,
+    poisson_arrivals,
     run_serving,
 )
 

@@ -28,18 +28,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.streaming import (
-    AdmissionStallWarning,
-    ConcurrencyCapDispatcher,
-    GreedyDispatcher,
-    PowerCapDispatcher,
-    poisson_arrivals,
-)
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
 from repro.serving import (
+    AdmissionStallWarning,
     BreakerConfig,
+    ConcurrencyCapDispatcher,
     FleetServingConfig,
+    GreedyDispatcher,
+    PowerCapDispatcher,
     ServingConfig,
+    poisson_arrivals,
     run_serving,
 )
 from repro.sim.errors import HarnessCrash

@@ -7,13 +7,14 @@ or without journaling.
 
 import pytest
 
-from repro.core.streaming import ConcurrencyCapDispatcher, poisson_arrivals
 from repro.resilience import FaultPlan
 from repro.resilience.faults import FaultKind, FaultSpec
 from repro.serving import (
     BreakerConfig,
+    ConcurrencyCapDispatcher,
     ServingConfig,
     measure_service_baselines,
+    poisson_arrivals,
     run_serving,
 )
 

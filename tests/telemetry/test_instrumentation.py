@@ -16,13 +16,18 @@ import pytest
 
 from repro.apps.registry import get_app
 from repro.core.runner import quick_run
-from repro.core.streaming import ConcurrencyCapDispatcher, poisson_arrivals
 from repro.fleet import FleetConfig, FleetHarness
 from repro.gpu.commands import CopyDirection
 from repro.gpu.device import GPUDevice
 from repro.gpu.kernels import Dim3, KernelDescriptor
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
-from repro.serving import BreakerConfig, ServingConfig, run_serving
+from repro.serving import (
+    BreakerConfig,
+    ConcurrencyCapDispatcher,
+    ServingConfig,
+    poisson_arrivals,
+    run_serving,
+)
 from repro.sim.engine import Environment
 from repro.telemetry import Telemetry
 from repro.telemetry.probes import instrument_device

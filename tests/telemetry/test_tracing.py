@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from repro.core.streaming import (
+from repro.serving import (
     ConcurrencyCapDispatcher,
     poisson_arrivals,
-    run_streaming,
+    run_serving,
 )
 from repro.telemetry import (
     ENGINE_CATEGORIES,
@@ -181,7 +181,7 @@ def small_run(tracing):
         rate=10000.0, duration=0.002, type_mix=[("nn", 1), ("needle", 1)],
         seed=7,
     )
-    return run_streaming(
+    return run_serving(
         arrivals, ConcurrencyCapDispatcher(3), num_streams=8, tracing=tracing
     )
 

@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.core.streaming import Arrival
 from repro.integrity.record import MARKER_KEY, decode_line, encode_line
-from repro.serving import JournalError, JournalMismatchError, RunJournal
+from repro.serving import (
+    Arrival,
+    JournalError,
+    JournalMismatchError,
+    RunJournal,
+)
 from repro.sim.errors import HarnessCrash
 from repro.workload import (
     CURSOR_FORMAT,
