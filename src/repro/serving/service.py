@@ -411,7 +411,6 @@ def run_serving(
                 (a.type_name for a in arrivals), scale=scale_name, spec=spec
             )
         deadlines = _compute_deadlines(arrivals, baselines, config)
-    estimates = baselines or {}
     shed_unreachable = config.shed_unreachable and baselines is not None
 
     # Split the plan: device faults go to the injector, the first
@@ -846,7 +845,7 @@ def run_serving(
             if (
                 shed_unreachable
                 and record.slo_deadline > 0
-                and env.now + estimates.get(record.type_name, 0.0)
+                and env.now + baselines.get(record.type_name, 0.0)
                 > record.slo_deadline + _EPS
             ):
                 shed(record, "shed-deadline", arrival_time)
