@@ -4,8 +4,6 @@ Overload scenarios use a short, hot trace (arrival rate well above the
 capped service rate) so the finite queue actually fills.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.serving import (
@@ -16,7 +14,6 @@ from repro.serving import (
     poisson_arrivals,
     run_serving,
 )
-from repro.workload import TrafficStats
 
 pytestmark = pytest.mark.serving
 
@@ -146,35 +143,6 @@ class TestDeadlineShedding:
             assert record.slo_deadline == (
                 arrival.time + 3.0 * baselines[arrival.type_name]
             )
-
-    def test_list_fed_arrival_deadlines_use_baselines(self):
-        # Arrivals that carry their own deadlines: a list sheds exactly
-        # like an iterator, with the configured baselines as estimates.
-        baselines = measure_service_baselines(["gaussian", "nn"], scale="tiny")
-        arrivals = [
-            dataclasses.replace(
-                a, deadline=a.time + 1.5 * baselines[a.type_name]
-            )
-            for a in poisson_arrivals(4000.0, 0.01, MIX, seed=3)
-        ]
-        cfg = ServingConfig(
-            baseline_runtimes=tuple(sorted(baselines.items())),
-            shed_unreachable=True,
-            seed=3,
-        )
-        runs = [
-            run_serving(
-                trace,
-                ConcurrencyCapDispatcher(2),
-                cfg,
-                num_streams=8,
-                scale="tiny",
-                sink=sink,
-            )
-            for trace, sink in ((arrivals, None), (iter(arrivals), TrafficStats()))
-        ]
-        assert runs[0].outcomes.get("shed-deadline", 0) > 0
-        assert runs[0].outcomes == runs[1].outcomes
 
     def test_slo_jitter_is_seeded(self):
         arrivals = overload_trace()
