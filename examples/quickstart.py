@@ -42,8 +42,7 @@ def main() -> None:
 
     # 3. Concurrency + the paper's memory-transfer synchronization.
     synced = runner.run(
-        RunConfig(workload=workload, num_streams=args.apps, memory_sync=True,
-                  record_trace=True)
+        RunConfig(workload=workload, num_streams=args.apps, memory_sync=True)
     )
     print(f"+ memory sync   : {synced.harness.summary()}\n")
 

@@ -69,7 +69,6 @@ def main() -> None:
         num_streams=args.apps,
         memory_sync=True,  # Figure 8's memory mode
         scale=args.scale,
-        record_trace=True,
         telemetry=telemetry,
     )
 

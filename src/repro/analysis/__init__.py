@@ -7,16 +7,9 @@ from .critical_path import (
     extract_critical_paths,
     top_slowest,
 )
-from .profile_summary import kernel_summary, stream_summary, transfer_summary
+from .profile_summary import kernel_summary, transfer_summary
 from .report import Section, build_report, read_results_csv
-from .stats import (
-    Summary,
-    concurrency_profile,
-    dma_utilization,
-    gpu_utilization,
-    mean_confidence_interval,
-    summarize,
-)
+from .stats import Summary, mean_confidence_interval, summarize
 from .tables import format_markdown, format_table, format_value, write_csv
 from .timeline import GLYPHS, render_timeline, timeline_rows
 from .waterfall import (
@@ -36,7 +29,6 @@ __all__ = [
     "top_slowest",
     "kernel_summary",
     "transfer_summary",
-    "stream_summary",
     "build_report",
     "Section",
     "read_results_csv",
@@ -50,9 +42,6 @@ __all__ = [
     "Summary",
     "summarize",
     "mean_confidence_interval",
-    "gpu_utilization",
-    "dma_utilization",
-    "concurrency_profile",
     "build_leaderboard",
     "build_waterfall",
     "render_leaderboard",

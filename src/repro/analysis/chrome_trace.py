@@ -1,10 +1,11 @@
 """Export simulator traces to Chrome's Trace Event format.
 
 ASCII timelines (:mod:`repro.analysis.timeline`) are great in a terminal;
-for interactive inspection, :func:`to_chrome_trace` converts a
-:class:`~repro.sim.trace.TraceRecorder` into the JSON consumed by
-``chrome://tracing`` / Perfetto — the closest free analogue to the NVIDIA
-Visual Profiler views the paper's figures come from.
+for interactive inspection, :func:`to_chrome_trace` converts a timeline
+(a harness run's ``trace``, derived from its command record and its fault
+marks by :func:`repro.framework.metrics.record_timeline`) into the JSON
+consumed by ``chrome://tracing`` / Perfetto — the closest free analogue
+to the NVIDIA Visual Profiler views the paper's figures come from.
 
 Mapping: each simulator *track* becomes a Chrome "thread" (``tid``) under a
 single "process" (the GPU); spans become complete (``"ph": "X"``) events

@@ -1,9 +1,10 @@
-"""nvprof-style summary statistics from a simulation trace.
+"""nvprof-style summary statistics from a run's timeline.
 
 ``nvprof``/``nsys`` end every profiling session with per-kernel and
 per-memcpy summary tables; these helpers produce the same view from a
-:class:`~repro.sim.trace.TraceRecorder`, rounding out the profiler story
-next to the ASCII timeline and the Chrome-trace export.
+timeline (a harness run's ``trace``, derived from its command record by
+:func:`repro.framework.metrics.record_timeline`), rounding out the
+profiler story next to the ASCII timeline and the Chrome-trace export.
 
 All times in the returned rows are in the units indicated by the key
 suffix (``_ms``/``_us``); byte totals are raw bytes plus a derived
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..sim.trace import TraceRecorder
 
-__all__ = ["kernel_summary", "transfer_summary", "stream_summary"]
+__all__ = ["kernel_summary", "transfer_summary"]
 
 
 def _span_stats(durations: List[float]) -> Dict[str, float]:
@@ -88,30 +89,4 @@ def transfer_summary(trace: TraceRecorder) -> List[Dict[str, object]]:
                 **_span_stats(durations),
             }
         )
-    return rows
-
-
-def stream_summary(trace: TraceRecorder) -> List[Dict[str, object]]:
-    """Per-stream activity: busy time per category and span counts."""
-    tracks = [t for t in trace.tracks() if t.startswith("stream-")]
-    rows = []
-    for track in tracks:
-        spans = trace.filter(track=track)
-        if not spans:
-            continue
-        kernels = [s for s in spans if s.category == "kernel"]
-        copies = [s for s in spans if s.category.startswith("memcpy")]
-        first = min(s.start for s in spans)
-        last = max(s.end for s in spans)
-        rows.append(
-            {
-                "stream": track,
-                "kernels": len(kernels),
-                "memcpys": len(copies),
-                "kernel_ms": sum(s.duration for s in kernels) * 1e3,
-                "memcpy_ms": sum(s.duration for s in copies) * 1e3,
-                "active_window_ms": (last - first) * 1e3,
-            }
-        )
-    rows.sort(key=lambda r: r["stream"])
     return rows

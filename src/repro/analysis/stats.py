@@ -1,29 +1,21 @@
 """Aggregation helpers shared by the experiment reports.
 
-Small, dependency-light statistics used when summarizing sweeps:
-improvement aggregation, utilization computation from traces, and a
-confidence-interval helper for the jittered (nondeterministic-host)
-experiments.
+Small, dependency-light statistics used when summarizing sweeps: a
+sample summary and a confidence-interval helper for the jittered
+(nondeterministic-host) experiments.  Timeline views live beside the
+timeline itself (:mod:`repro.analysis.timeline`,
+:mod:`repro.analysis.profile_summary`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from ..sim.trace import TraceRecorder
-
-__all__ = [
-    "Summary",
-    "summarize",
-    "mean_confidence_interval",
-    "gpu_utilization",
-    "dma_utilization",
-    "concurrency_profile",
-]
+__all__ = ["Summary", "summarize", "mean_confidence_interval"]
 
 
 @dataclass(frozen=True)
@@ -67,45 +59,3 @@ def mean_confidence_interval(
         return (s.mean, s.mean, s.mean)
     half = z * s.std / math.sqrt(s.count)
     return (s.mean, s.mean - half, s.mean + half)
-
-
-def gpu_utilization(trace: TraceRecorder, window: Tuple[float, float] = None) -> float:
-    """Fraction of the window with at least one kernel executing."""
-    if window is None:
-        window = trace.extent()
-    t0, t1 = window
-    if t1 <= t0:
-        return 0.0
-    return min(1.0, trace.total_busy_time("kernel") / (t1 - t0))
-
-
-def dma_utilization(
-    trace: TraceRecorder, direction: str = "htod", window: Tuple[float, float] = None
-) -> float:
-    """Fraction of the window with the given copy engine busy."""
-    if window is None:
-        window = trace.extent()
-    t0, t1 = window
-    if t1 <= t0:
-        return 0.0
-    return min(1.0, trace.total_busy_time(f"dma_{direction}") / (t1 - t0))
-
-
-def concurrency_profile(
-    trace: TraceRecorder, category: str = "kernel", points: int = 200
-) -> List[Tuple[float, int]]:
-    """(time, active span count) sampled over the trace extent.
-
-    Used to plot how many kernels executed concurrently over time (the
-    quantitative version of the Figure 5 snapshot).
-    """
-    t0, t1 = trace.extent()
-    if t1 <= t0:
-        return []
-    spans = [s for s in trace.spans if s.category == category]
-    times = np.linspace(t0, t1, points)
-    out = []
-    for t in times:
-        active = sum(1 for s in spans if s.start <= t < s.end)
-        out.append((float(t), active))
-    return out

@@ -2,10 +2,11 @@
 
 The paper's Figures 1, 2 and 5 are NVIDIA Visual Profiler screenshots:
 per-stream rows with dark boxes for HtoD copies and light boxes for kernel
-execution.  :func:`render_timeline` draws the same picture from a
-:class:`~repro.sim.trace.TraceRecorder` using block characters, one row per
-track, so the reproduced timelines can be eyeballed in a terminal or pasted
-into EXPERIMENTS.md.
+execution.  :func:`render_timeline` draws the same picture from a timeline
+(a harness run's ``trace``, derived from its command record by
+:func:`repro.framework.metrics.record_timeline`) using block characters,
+one row per track, so the reproduced timelines can be eyeballed in a
+terminal or pasted into EXPERIMENTS.md.
 
 Glyphs: ``#`` HtoD copy, ``%`` DtoH copy, ``=`` kernel execution,
 ``-`` other activity, ``.`` idle.

@@ -505,21 +505,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             num_streams=args.apps,
             memory_sync=args.sync,
             scale=scale,
-            record_trace=True,
         )
         label = "Figure 2 (memory sync)" if args.sync else "Figure 1 (default)"
-        print(render_timeline(run.harness.trace, width=args.width, title=label))
+        trace = run.harness.trace
+        print(render_timeline(trace, width=args.width, title=label))
         print(run.summary())
         from .analysis.profile_summary import kernel_summary, transfer_summary
 
         print()
-        print(format_table(
-            kernel_summary(run.harness.trace), title="Kernel summary"
-        ))
+        print(format_table(kernel_summary(trace), title="Kernel summary"))
         print()
-        print(format_table(
-            transfer_summary(run.harness.trace), title="Transfer summary"
-        ))
+        print(format_table(transfer_summary(trace), title="Transfer summary"))
         return 0
 
     if args.command == "autotune":

@@ -44,7 +44,7 @@ from ..gpu.commands import CopyDirection
 from ..gpu.kernels import Dim3, KernelDescriptor
 from ..gpu.specs import DeviceSpec, tesla_k20
 from ..sim.engine import Environment
-from ..sim.trace import TraceRecorder
+from ..sim.trace import TraceRecorder, max_overlap
 from .baselines import chunk_profile, symbiosis_admission
 from .runner import ExperimentRunner, RunConfig, RunResult
 from .workload import Workload
@@ -92,7 +92,7 @@ ILLUSTRATION_PAIR: Tuple[str, str] = ("gaussian", "needle")
 
 @dataclass
 class TimelineStudy:
-    """Two traced runs differing only in the transfer mutex."""
+    """Two runs differing only in the transfer mutex."""
 
     pair: Tuple[str, str]
     default_run: RunResult
@@ -147,7 +147,7 @@ def fig1_fig2_timelines(
     """Reproduce the Figure 1 (default) and Figure 2 (mutex) timelines."""
     runner = runner or ExperimentRunner()
     workload = Workload.heterogeneous_pair(*pair, num_apps, scale=scale)
-    base = dict(workload=workload, num_streams=num_apps, record_trace=True)
+    base = dict(workload=workload, num_streams=num_apps)
     default_run = runner.run(RunConfig(memory_sync=False, **base))
     sync_run = runner.run(RunConfig(memory_sync=True, **base))
     return TimelineStudy(pair=pair, default_run=default_run, sync_run=sync_run)
@@ -280,8 +280,7 @@ def fig5_oversubscription(
 
     spec = spec or tesla_k20()
     env = Environment()
-    trace = TraceRecorder()
-    device = GPUDevice(env, spec=spec, trace=trace, admission=admission)
+    device = GPUDevice(env, spec=spec, admission=admission)
 
     kernels = [
         KernelDescriptor("needle_cuda_shared_1", Dim3(89), Dim3(32),
@@ -296,9 +295,12 @@ def fig5_oversubscription(
                          registers_per_thread=15, block_duration=8e-6),
     ]
 
+    commands = []
+
     def launcher(stream, kd, delay):
         yield env.timeout(delay)
         cmd = stream.enqueue_kernel(kd, app_id=f"{kd.name}@{stream.sid}")
+        commands.append(cmd)
         yield cmd.done
 
     for i, kd in enumerate(kernels):
@@ -306,15 +308,17 @@ def fig5_oversubscription(
         env.process(launcher(stream, kd, delay=i * 2e-6))
     env.run()
 
+    # Completion order, as the profiler lists them.
+    commands.sort(key=lambda c: (c.done.value, c.started.value))
     spans = [
         {
-            "stream": s.track,
-            "kernel": s.name,
-            "blocks": s.meta.get("blocks"),
-            "start_us": s.start * 1e6,
-            "end_us": s.end * 1e6,
+            "stream": f"stream-{c.stream_id}",
+            "kernel": c.descriptor.name,
+            "blocks": c.descriptor.num_blocks,
+            "start_us": c.started.value * 1e6,
+            "end_us": c.done.value * 1e6,
         }
-        for s in trace.filter(category="kernel")
+        for c in commands
     ]
     total_blocks = sum(k.num_blocks for k in kernels)
     # Serialized reference: kernels one after another, each at its own
@@ -328,7 +332,9 @@ def fig5_oversubscription(
     return Fig5Result(
         total_requested_blocks=total_blocks,
         device_block_ceiling=spec.max_resident_blocks,
-        max_kernel_concurrency=trace.max_concurrency("kernel"),
+        max_kernel_concurrency=max_overlap(
+            (c.started.value, c.done.value) for c in commands
+        ),
         kernel_spans=spans,
         makespan=env.now,
         serialized_makespan=serialized,

@@ -44,7 +44,6 @@ class RunConfig:
     copy_policy: str = "interleave"
     spec: Optional[DeviceSpec] = None
     seed: int = 0
-    record_trace: bool = False
     power_interval: float = 15e-3
     spawn_jitter: float = 0.0
     admission: object = None
@@ -199,7 +198,6 @@ class ExperimentRunner:
             memory_sync=config.memory_sync,
             spec=spec,
             copy_policy=config.copy_policy,
-            record_trace=config.record_trace,
             power_interval=config.power_interval,
             spawn_jitter=config.spawn_jitter,
             seed=config.seed,

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Optional
 from ..gpu.device import GPUDevice
 from ..gpu.specs import DeviceSpec
 from ..resilience.faults import FaultInjector, FaultPlan
-from ..sim.trace import TraceRecorder
 from .power_monitor import DEFAULT_INTERVAL, PowerMonitor
 from .stream_manager import StreamManager
 from .sync import make_synchronizer
@@ -40,7 +39,7 @@ class DeviceStack:
     ----------
     injector:
         The plan's :class:`FaultInjector`, or ``None`` when the plan has
-        no faults.  Applied faults are marked on ``trace`` when given.
+        no faults.  Applied faults are marked on its own ``trace``.
     gpu:
         The :class:`~repro.gpu.device.GPUDevice`.
     manager, synchronizer, monitor:
@@ -55,21 +54,19 @@ class DeviceStack:
         memory_sync: bool,
         *,
         plan: Optional[FaultPlan] = None,
-        trace: Optional[TraceRecorder] = None,
         copy_policy: str = "interleave",
         admission=None,
         power_interval: float = DEFAULT_INTERVAL,
     ) -> None:
         self.env = env
         self.injector: Optional[FaultInjector] = (
-            FaultInjector(env, plan, trace=trace)
+            FaultInjector(env, plan)
             if plan is not None and not plan.empty
             else None
         )
         self.gpu = GPUDevice(
             env,
             spec=spec,
-            trace=trace,
             copy_policy=copy_policy,
             admission=admission,
             injector=self.injector,

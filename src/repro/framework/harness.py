@@ -10,7 +10,9 @@ for all children, then tears everything down.
 :class:`HarnessConfig` captures one experimental cell (schedule, NS, memory
 sync on/off, device, copy policy); :meth:`TestHarness.run` executes it in a
 fresh simulation environment and returns a :class:`HarnessResult` with the
-per-application records, makespan, energy and the optional trace.
+per-application records, makespan and energy.  Its ``trace`` is the
+profiler timeline, derived from the records and the fault injector's marks
+(:func:`~repro.framework.metrics.record_timeline`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,12 @@ from ..sim.trace import TraceRecorder
 from .app_thread import AppThread
 from .device_stack import DeviceStack
 from .kernel import KernelApp
-from .metrics import AppRecord, average_effective_latency, makespan
+from .metrics import (
+    AppRecord,
+    average_effective_latency,
+    makespan,
+    record_timeline,
+)
 from .power_monitor import DEFAULT_INTERVAL
 
 __all__ = ["HarnessConfig", "HarnessResult", "TestHarness"]
@@ -60,8 +67,6 @@ class HarnessConfig:
         Device description (default Tesla K20).
     copy_policy:
         DMA service discipline (``"interleave"`` default).
-    record_trace:
-        Keep a full timeline (needed for Figures 1/2/5; off for sweeps).
     power_interval:
         Power sensor sampling period (paper: 15 ms; 66.7 Hz for Fig 9/10).
     spawn_jitter:
@@ -89,7 +94,6 @@ class HarnessConfig:
     memory_sync: bool = False
     spec: Optional[DeviceSpec] = None
     copy_policy: str = "interleave"
-    record_trace: bool = False
     power_interval: float = DEFAULT_INTERVAL
     spawn_jitter: float = 0.0
     seed: int = 0
@@ -135,7 +139,9 @@ class HarnessResult:
     peak_power: float            # model peak over the run (W)
     sampled_average_power: float  # the paper's sensor-sampled estimate (W)
     power_samples: List[Tuple[float, float]]
-    trace: Optional[TraceRecorder]
+    #: The fault injector's faults, retries, deadlines, degradation steps
+    #: and DMA stalls (empty without resilience).
+    marks: TraceRecorder
     stream_assignments: Dict[int, int]
     resilience: Optional[ResilienceSummary] = None
     #: The run's telemetry (same object as config.telemetry), if enabled.
@@ -143,6 +149,16 @@ class HarnessResult:
     #: The run's InvariantChecker (counters and any recorded violations),
     #: if integrity checking was enabled.
     integrity: object = None
+
+    @property
+    def trace(self) -> TraceRecorder:
+        """The run's profiler timeline (Figures 1, 2 and 5).
+
+        Derived on each access from :attr:`records` and :attr:`marks`.  A
+        retried app shows only its last attempt's commands: the earlier
+        attempts appear as their ``retry`` or ``deadline`` marks.
+        """
+        return record_timeline(self.records, self.marks)
 
     # -- summary helpers -------------------------------------------------------
 
@@ -189,7 +205,6 @@ class TestHarness:
         """Build the world, run the schedule to completion, measure."""
         cfg = self.config
         env = Environment()
-        trace = TraceRecorder() if cfg.record_trace else None
         resil = cfg.resilience
         stack = DeviceStack(
             env,
@@ -197,7 +212,6 @@ class TestHarness:
             cfg.num_streams,
             cfg.memory_sync,
             plan=resil.plan if resil is not None else None,
-            trace=trace,
             copy_policy=cfg.copy_policy,
             admission=cfg.admission,
             power_interval=cfg.power_interval,
@@ -214,7 +228,7 @@ class TestHarness:
             if injector is None:
                 # No faults to inject, but supervisors still trace-mark
                 # retries and deadlines through an injector.
-                injector = FaultInjector(env, resil.plan, trace=trace)
+                injector = FaultInjector(env, resil.plan)
             if resil.wants_deadlines:
                 watchdog = Watchdog(env)
             if resil.degradation_threshold > 0:
@@ -408,7 +422,7 @@ class TestHarness:
             peak_power=device.power.peak_power,
             sampled_average_power=monitor.average_power(),
             power_samples=[(s.time, s.watts) for s in monitor.samples],
-            trace=trace,
+            marks=injector.trace if injector is not None else TraceRecorder(),
             stream_assignments=assignments,
             resilience=summary,
             telemetry=telemetry,

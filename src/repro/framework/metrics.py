@@ -11,6 +11,10 @@ applications' copies held the DMA engine in between.  The aggregate
 reported in Figure 6 averages Le per application over the applications of
 each stream, then averages across the NS streams; both steps are
 implemented verbatim here.
+
+The same per-application record of copies and kernels is the run's only
+timeline store: :func:`record_timeline` derives the profiler view of
+Figures 1, 2 and 5 from it.
 """
 
 from __future__ import annotations
@@ -20,11 +24,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..gpu.commands import CopyDirection
+from ..sim.trace import Span, TraceRecorder
 
 __all__ = [
     "TransferEvent",
     "KernelEvent",
     "AppRecord",
+    "record_timeline",
     "effective_latency",
     "average_effective_latency",
     "improvement_pct",
@@ -152,6 +158,46 @@ class AppRecord:
         if self.slo_deadline <= 0.0:
             return True
         return self.complete_time <= self.slo_deadline
+
+
+def record_timeline(
+    records: Sequence[AppRecord], marks: TraceRecorder
+) -> TraceRecorder:
+    """The profiler timeline of a run, derived from its records.
+
+    Each kernel is a ``kernel`` span on ``stream-<stream_index>`` over
+    ``[started, completed]``.  Each copy is a ``memcpy_htod`` or
+    ``memcpy_dtoh`` span on the stream track, named by its buffer, plus a
+    ``dma_htod`` or ``dma_dtoh`` span on its engine's track, named by the
+    app.  The spans of ``marks`` (the fault injector's stalls) join them,
+    and the whole set is ordered by ``(end, start)``, ties kept in record
+    order with each record's copies before its kernels.  The instants of
+    ``marks`` follow in their own order.
+    """
+    spans: List[Span] = []
+    for record in records:
+        track = f"stream-{record.stream_index}"
+        app = record.app_id
+        for t in record.transfers:
+            d = t.direction.value.lower()
+            spans.append(Span(
+                track, f"memcpy_{d}", t.buffer or f"{t.nbytes}B",
+                t.started, t.completed, {"app": app, "bytes": t.nbytes},
+            ))
+            spans.append(Span(
+                f"dma-{d}", f"dma_{d}", app, t.started, t.completed,
+                {"bytes": t.nbytes},
+            ))
+        for k in record.kernels:
+            spans.append(Span(
+                track, "kernel", k.name, k.started, k.completed,
+                {"app": app, "blocks": k.num_blocks, "waves": k.waves},
+            ))
+    spans.extend(marks.spans)
+    timeline = TraceRecorder()
+    timeline.spans = sorted(spans, key=lambda s: (s.end, s.start))
+    timeline.instants = list(marks.instants)
+    return timeline
 
 
 def effective_latency(

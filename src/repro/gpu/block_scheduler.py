@@ -28,6 +28,10 @@ Implementation notes
 * An optional ``admission`` hook lets :mod:`repro.core.baselines` implement
   the symbiosis-style admission control the paper compares against (a grid
   is held back until the hook admits it).
+* The engine records no timeline.  It stamps a launch's ``started`` at
+  its first placed block and completes ``done`` when its last cohort
+  retires; those two values are the launch's kernel span in every
+  profiler view (:func:`repro.framework.metrics.record_timeline`).
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from ..resilience.faults import FaultInjector, FaultKind
 from ..sim.engine import Environment
 from ..sim.errors import FaultError, ScheduleError
 from ..sim.events import NORMAL, Event
-from ..sim.trace import TraceRecorder
 from .commands import KernelLaunchCommand
 from .kernels import KernelDescriptor
 from .smx import Placement, SMXArray
@@ -128,8 +131,6 @@ class GridEngine:
         Simulation environment.
     smx_array:
         The device's SMX resources.
-    trace:
-        Optional recorder; one ``kernel`` span per launch command.
     on_change:
         Callback invoked after every occupancy change (power model hook).
     settle:
@@ -165,7 +166,6 @@ class GridEngine:
         self,
         env: Environment,
         smx_array: SMXArray,
-        trace: Optional[TraceRecorder] = None,
         on_change: Optional[Callable[[], None]] = None,
         settle: Optional[Callable[[KernelLaunchCommand], bool]] = None,
         admission: Optional[Callable[[GridState, List["GridState"]], bool]] = None,
@@ -177,7 +177,6 @@ class GridEngine:
             raise ValueError("retire_quantum must be >= 0")
         self.env = env
         self.smx = smx_array
-        self.trace = trace
         self.on_change = on_change
         self._settle = settle or _succeed_on_calendar
         self.admission = admission
@@ -302,7 +301,6 @@ class GridEngine:
                 if grid.to_place == grid.kernel.num_blocks:
                     # First blocks of this launch.
                     grid.cmd.started.stamp(now)
-                    grid.cmd.first_block_time = now
                     executing += 1
             grid.to_place -= placed
             if not grid.to_place:
@@ -374,21 +372,8 @@ class GridEngine:
 
     def _finish(self, grid: GridState) -> bool:
         """Complete a grid's launch; ``True`` if it settled inline."""
-        now = self.env.now
         self._pending.remove(grid)
         self.grids_completed += 1
         cmd = grid.cmd
         cmd.waves = grid.waves
-        cmd.last_block_time = now
-        if self.trace is not None and cmd.first_block_time is not None:
-            self.trace.record(
-                track=f"stream-{cmd.stream_id}",
-                category="kernel",
-                name=cmd.descriptor.name,
-                start=cmd.first_block_time,
-                end=now,
-                app=cmd.app_id,
-                blocks=cmd.descriptor.num_blocks,
-                waves=grid.waves,
-            )
         return self._settle(cmd)

@@ -137,9 +137,6 @@ class KernelLaunchCommand(Command):
         self.descriptor = descriptor
         #: Filled by the block scheduler: number of scheduling waves used.
         self.waves: int = 0
-        #: Time the first / last block was placed (diagnostics).
-        self.first_block_time: Optional[float] = None
-        self.last_block_time: Optional[float] = None
 
     @property
     def label(self) -> str:

@@ -11,7 +11,11 @@ which completes it without a calendar event when nothing observes the
 completion.
 
 The device knows nothing about applications, scheduling policies or the
-paper's experiments — it is the substrate those layers run on.
+paper's experiments — it is the substrate those layers run on.  Nor does
+it record a timeline for observers: each command carries its own
+``ready``/``started``/``done`` times, and the profiler views are derived
+from the applications' records of those times after a run
+(:func:`repro.framework.metrics.record_timeline`).
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from typing import Dict, List, Optional
 
 from ..sim.engine import Environment
 from ..sim.events import AllOf, Event
-from ..sim.trace import TraceRecorder
 from .block_scheduler import GridEngine
 from .commands import (
     Command,
@@ -162,9 +165,6 @@ class GPUDevice:
         Simulation environment.
     spec:
         Hardware description (default: the paper's Tesla K20).
-    trace:
-        Optional :class:`TraceRecorder`; when given, every memcpy and
-        kernel produces timeline spans.
     copy_policy:
         Copy-queue service discipline (``"interleave"`` or ``"fifo"``).
     admission:
@@ -180,14 +180,12 @@ class GPUDevice:
         self,
         env: Environment,
         spec: Optional[DeviceSpec] = None,
-        trace: Optional[TraceRecorder] = None,
         copy_policy: str = "interleave",
         admission=None,
         injector=None,
     ) -> None:
         self.env = env
         self.spec = spec or tesla_k20()
-        self.trace = trace
         self.smx = SMXArray(self.spec.num_smx, self.spec.smx)
         self.power = PowerModel(
             env, self.spec.power, self.spec.max_resident_threads
@@ -196,7 +194,6 @@ class GPUDevice:
         self.grid_engine = GridEngine(
             env,
             self.smx,
-            trace=trace,
             on_change=self._power_changed,
             settle=self._settle,
             admission=admission,
@@ -209,7 +206,6 @@ class GPUDevice:
             CopyDirection.HTOD,
             self.spec.dma_htod,
             policy=copy_policy,
-            trace=trace,
             on_change=self._power_changed,
             injector=injector,
         )
@@ -218,7 +214,6 @@ class GPUDevice:
             CopyDirection.DTOH,
             self.spec.dma_dtoh,
             policy=copy_policy,
-            trace=trace,
             on_change=self._power_changed,
             injector=injector,
         )

@@ -20,6 +20,11 @@ Two service disciplines are provided:
 
 The paper's fix — the host-side transfer mutex — works with either
 discipline because it keeps at most one application's commands pending.
+
+The engine records no timeline: a copy's ``started`` and ``done`` values
+are its span on the stream and DMA tracks of every profiler view
+(:func:`repro.framework.metrics.record_timeline`), and an injected stall
+is recorded by the fault injector that applied it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from typing import Callable, Deque, Optional
 
 from ..sim.engine import Environment
 from ..sim.events import Event
-from ..sim.trace import TraceRecorder
 from .commands import CopyDirection, MemcpyCommand
 from .specs import DMASpec
 
@@ -51,16 +55,14 @@ class CopyEngine:
         Bandwidth/latency model.
     policy:
         ``"interleave"`` or ``"fifo"`` (see module docstring).
-    trace:
-        Optional recorder; spans land on tracks ``stream-<id>`` (category
-        ``memcpy_htod``/``memcpy_dtoh``) plus an engine utilization track.
     on_change:
         Power-model hook invoked when the engine goes busy/idle.
     injector:
         Optional :class:`~repro.resilience.faults.FaultInjector` consulted
         before each command is served; armed ``dma_stall`` faults freeze
-        the engine for their duration (PCIe hiccup / stalled copy engine).
-        ``None`` (default) leaves the service loop untouched.
+        the engine for their duration (PCIe hiccup / stalled copy engine),
+        and the injector records each stall on its own trace.  ``None``
+        (default) leaves the service loop untouched.
     """
 
     def __init__(
@@ -69,7 +71,6 @@ class CopyEngine:
         direction: CopyDirection,
         spec: DMASpec,
         policy: str = "interleave",
-        trace: Optional[TraceRecorder] = None,
         on_change: Optional[Callable[[], None]] = None,
         injector=None,
     ) -> None:
@@ -81,7 +82,6 @@ class CopyEngine:
         self.direction = direction
         self.spec = spec
         self.policy = policy
-        self.trace = trace
         self.on_change = on_change
         self.injector = injector
         self.busy: bool = False
@@ -158,9 +158,6 @@ class CopyEngine:
 
     def _service(self):
         env = self.env
-        category = (
-            "memcpy_htod" if self.direction is CopyDirection.HTOD else "memcpy_dtoh"
-        )
         while True:
             cmd = self._next()
             if cmd is None:
@@ -171,16 +168,7 @@ class CopyEngine:
             if self.injector is not None:
                 stall = self.injector.dma_stall(self.direction.value, env.now)
                 if stall > 0:
-                    stall_start = env.now
                     yield env.timeout(stall)
-                    if self.trace is not None:
-                        self.trace.record(
-                            track=f"dma-{self.direction.value.lower()}",
-                            category="dma_stall",
-                            name="injected stall",
-                            start=stall_start,
-                            end=env.now,
-                        )
             duration = self.spec.transfer_time(cmd.nbytes)
             if self.injector is not None:
                 # Gray DMA degradation: a stretched link serves the copy
@@ -203,24 +191,6 @@ class CopyEngine:
             self.busy_seconds += end - start
             if cmd.ready.triggered and cmd.ready._value is not None:
                 self.wait_seconds += start - cmd.ready._value
-            if self.trace is not None:
-                self.trace.record(
-                    track=f"stream-{cmd.stream_id}",
-                    category=category,
-                    name=cmd.buffer or f"{cmd.nbytes}B",
-                    start=start,
-                    end=end,
-                    app=cmd.app_id,
-                    bytes=cmd.nbytes,
-                )
-                self.trace.record(
-                    track=f"dma-{self.direction.value.lower()}",
-                    category=f"dma_{self.direction.value.lower()}",
-                    name=cmd.app_id or "",
-                    start=start,
-                    end=end,
-                    bytes=cmd.nbytes,
-                )
             if self.on_change is not None:
                 self.on_change()
             cmd.done.succeed(end)

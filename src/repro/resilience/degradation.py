@@ -168,7 +168,7 @@ class DegradationController:
             self.limiter.set_limit(target)
             now = self.limiter.env.now
             self.steps.append((now, self.fault_count, target))
-            if self.injector is not None and self.injector.trace is not None:
+            if self.injector is not None:
                 self.injector.trace.mark(
                     track="resilience",
                     category="degrade",

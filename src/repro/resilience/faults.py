@@ -16,6 +16,9 @@ the *model* of those failures:
   reached, then the hooks in :mod:`repro.gpu.block_scheduler` (kernel
   hangs / launch failures), :mod:`repro.gpu.dma` (engine stalls) and
   :mod:`repro.framework.power_monitor` (sample dropouts) consume them.
+  The injector marks what it applied on its own
+  :class:`~repro.sim.trace.TraceRecorder`, which a harness run's
+  timeline merges with the command record.
 
 Nothing here imports above :mod:`repro.sim`; the package sits beside
 :mod:`repro.gpu` in the layering so the device model can depend on it
@@ -119,6 +122,13 @@ GRAY_KINDS = (
     FaultKind.CLOCK_JITTER,
 )
 
+#: The kinds that act over a ``[time, time + duration)`` window rather
+#: than on one activity.
+WINDOW_KINDS = (
+    FaultKind.POWER_DROPOUT,
+    FaultKind.DEVICE_THROTTLE,
+) + GRAY_KINDS
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -161,6 +171,11 @@ class FaultSpec:
     device: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.kind is FaultKind.INTEGRITY_VIOLATION:
+            raise ValueError(
+                "integrity_violation is reported by the integrity checker, "
+                "never injected"
+            )
         if self.time < 0:
             raise ValueError(f"fault time {self.time!r} is negative")
         if self.duration < 0:
@@ -599,50 +614,34 @@ class FaultInjector:
 
     The injector holds the plan's specs in a pending queue ordered by arm
     time.  Every engine-facing method first moves the specs due at
-    ``now`` into per-kind armed queues, then consumes armed faults that
-    match the activity at hand.  Every applied fault is appended to
-    :attr:`records` and, when a trace is attached, marked as an instant
-    on the ``resilience`` track so Chrome-trace exports show exactly
-    where faults landed.
+    ``now`` into per-kind armed queues and windows, then consumes armed
+    faults that match the activity at hand.  Every applied fault is
+    appended to :attr:`records` and marked as an instant on the
+    ``resilience`` track of :attr:`trace`, so timelines and Chrome-trace
+    exports show exactly where faults landed.  The trace also holds the
+    supervisors' retry and deadline marks, the degradation steps and a
+    ``dma_stall`` span over each interval a copy engine stood stalled.
     """
 
-    def __init__(
-        self,
-        env,
-        plan: Optional[FaultPlan] = None,
-        trace: Optional[TraceRecorder] = None,
-    ) -> None:
+    def __init__(self, env, plan: Optional[FaultPlan] = None) -> None:
         self.env = env
         self.plan = plan if plan is not None else FaultPlan()
-        self.trace = trace
+        self.trace = TraceRecorder()
         self.records: List[FaultRecord] = []
         self._pending: Deque[FaultSpec] = deque(self.plan.faults)
         # Kernel hangs and launch failures share one queue so a submit
         # consumes the earliest-armed matching kernel fault of either kind.
         self._armed_kernel: Deque[FaultSpec] = deque()
         self._armed_stalls: Deque[FaultSpec] = deque()
-        self._dropout_windows: List[FaultSpec] = []
-        self._dropout_noted: set = set()
-        self._throttle_windows: List[FaultSpec] = []
-        self._throttle_noted: set = set()
-        # Gray-degradation windows, one list per kind; each is recorded
-        # once, on the first activity it actually slows.
-        self._slowdown_windows: List[FaultSpec] = []
-        self._slowdown_noted: set = set()
-        self._stretch_windows: List[FaultSpec] = []
-        self._stretch_noted: set = set()
-        self._jitter_windows: List[FaultSpec] = []
-        self._jitter_noted: set = set()
+        # Armed windows per kind, in arm order; each window is recorded
+        # once, on the first activity it actually affects.
+        self._windows: Dict[FaultKind, List[FaultSpec]] = {
+            kind: [] for kind in WINDOW_KINDS
+        }
+        self._noted: set = set()
         # Per-window jitter streams, created lazily and seeded from the
         # spec itself so every draw is independent of global rng state.
         self._jitter_rng: Dict[int, np.random.Generator] = {}
-        # Harness crashes are scheduled by the serving engine up front
-        # (they kill the whole run, not one activity); armed specs are
-        # parked here so they never leak into another kind's queue.
-        # Device losses are likewise consumed by the fleet registry's own
-        # loss processes, never by an engine hook.
-        self._armed_crashes: List[FaultSpec] = []
-        self._armed_losses: List[FaultSpec] = []
 
     def __repr__(self) -> str:
         return (
@@ -653,7 +652,12 @@ class FaultInjector:
     # -- arming ------------------------------------------------------------
 
     def _arm(self, now: float) -> None:
-        """Arm every pending fault whose time has been reached."""
+        """Arm every pending fault whose time has been reached.
+
+        Harness crashes and device losses are dropped here: the serving
+        engine schedules crashes up front and the fleet registry runs its
+        own loss processes, so no engine hook consumes them.
+        """
         pending = self._pending
         while pending and pending[0].time <= now:
             spec = pending.popleft()
@@ -661,20 +665,40 @@ class FaultInjector:
                 self._armed_kernel.append(spec)
             elif spec.kind is FaultKind.DMA_STALL:
                 self._armed_stalls.append(spec)
-            elif spec.kind is FaultKind.HARNESS_CRASH:
-                self._armed_crashes.append(spec)
-            elif spec.kind is FaultKind.DEVICE_LOSS:
-                self._armed_losses.append(spec)
-            elif spec.kind is FaultKind.DEVICE_THROTTLE:
-                self._throttle_windows.append(spec)
-            elif spec.kind is FaultKind.SMX_SLOWDOWN:
-                self._slowdown_windows.append(spec)
-            elif spec.kind is FaultKind.DMA_STRETCH:
-                self._stretch_windows.append(spec)
-            elif spec.kind is FaultKind.CLOCK_JITTER:
-                self._jitter_windows.append(spec)
-            else:
-                self._dropout_windows.append(spec)
+            elif spec.kind in self._windows:
+                self._windows[spec.kind].append(spec)
+
+    def _open(
+        self, kind: FaultKind, now: float, direction: Optional[str] = None
+    ) -> List[FaultSpec]:
+        """The armed windows of ``kind`` open at ``now``, in arm order.
+
+        Expired windows are dropped.  With a ``direction``, windows pinned
+        to the other direction are skipped (but kept until they expire).
+        """
+        self._arm(now)
+        live = [
+            spec
+            for spec in self._windows[kind]
+            if now < spec.time + spec.duration
+        ]
+        self._windows[kind] = live
+        return [
+            spec
+            for spec in live
+            if now >= spec.time
+            and (
+                direction is None
+                or spec.direction is None
+                or spec.direction == direction
+            )
+        ]
+
+    def _note(self, spec: FaultSpec, target: Optional[str], detail: str) -> None:
+        """Record a window the first time it affects an activity."""
+        if id(spec) not in self._noted:
+            self._noted.add(id(spec))
+            self._record(spec, target, detail)
 
     # -- accounting --------------------------------------------------------
 
@@ -701,16 +725,15 @@ class FaultInjector:
             detail=detail,
         )
         self.records.append(record)
-        if self.trace is not None:
-            self.trace.mark(
-                track=RESILIENCE_TRACK,
-                category="fault",
-                name=spec.kind.value,
-                time=self.env.now,
-                target=target or "",
-                scheduled=spec.time,
-                detail=detail,
-            )
+        self.trace.mark(
+            track=RESILIENCE_TRACK,
+            category="fault",
+            name=spec.kind.value,
+            time=self.env.now,
+            target=target or "",
+            scheduled=spec.time,
+            detail=detail,
+        )
         return record
 
     # -- engine-facing consumption ----------------------------------------
@@ -739,18 +762,29 @@ class FaultInjector:
         """Total armed stall seconds for ``direction``, consumed.
 
         Called by a copy engine immediately before serving a command;
-        every matching armed stall is applied (summed) and recorded.
+        every matching armed stall is applied (summed) and recorded, and
+        the engine's frozen interval ``[now, now + total]`` becomes one
+        ``dma_stall`` span on the engine's track.
         """
         self._arm(now)
+        track = f"dma-{direction.lower()}"
         total = 0.0
         remaining: Deque[FaultSpec] = deque()
         for spec in self._armed_stalls:
             if spec.direction is None or spec.direction == direction:
                 total += spec.duration
-                self._record(spec, f"dma-{direction.lower()}", f"stall={spec.duration:g}s")
+                self._record(spec, track, f"stall={spec.duration:g}s")
             else:
                 remaining.append(spec)
         self._armed_stalls = remaining
+        if total > 0:
+            self.trace.record(
+                track=track,
+                category="dma_stall",
+                name="injected stall",
+                start=now,
+                end=now + total,
+            )
         return total
 
     def throttle_factor(self, now: float) -> float:
@@ -761,23 +795,14 @@ class FaultInjector:
         when no DEVICE_THROTTLE window is open.  Each window is recorded
         once, on the first submission it slows down.
         """
-        self._arm(now)
         factor = 1.0
-        keep: List[FaultSpec] = []
-        for spec in self._throttle_windows:
-            if now >= spec.time + spec.duration:
-                continue  # window expired
-            keep.append(spec)
-            if now >= spec.time:
-                factor *= spec.factor
-                if id(spec) not in self._throttle_noted:
-                    self._throttle_noted.add(id(spec))
-                    self._record(
-                        spec,
-                        f"device-{spec.effective_device}",
-                        f"throttle x{spec.factor:g} for {spec.duration:g}s",
-                    )
-        self._throttle_windows = keep
+        for spec in self._open(FaultKind.DEVICE_THROTTLE, now):
+            factor *= spec.factor
+            self._note(
+                spec,
+                f"device-{spec.effective_device}",
+                f"throttle x{spec.factor:g} for {spec.duration:g}s",
+            )
         return factor
 
     def throttle_active(self, now: float) -> bool:
@@ -786,11 +811,7 @@ class FaultInjector:
         A read-only probe for health classification: does *not* record
         the window as applied (only a slowed-down submission does).
         """
-        self._arm(now)
-        return any(
-            spec.time <= now < spec.time + spec.duration
-            for spec in self._throttle_windows
-        )
+        return bool(self._open(FaultKind.DEVICE_THROTTLE, now))
 
     def smx_slowdown(self, now: float) -> float:
         """Combined gray compute slowdown at ``now`` (cohort placement).
@@ -800,23 +821,14 @@ class FaultInjector:
         ``1.0`` when no SMX_SLOWDOWN window is open.  Each window is
         recorded once, on the first cohort it slows.
         """
-        self._arm(now)
         factor = 1.0
-        keep: List[FaultSpec] = []
-        for spec in self._slowdown_windows:
-            if now >= spec.time + spec.duration:
-                continue  # window expired
-            keep.append(spec)
-            if now >= spec.time:
-                factor *= spec.factor
-                if id(spec) not in self._slowdown_noted:
-                    self._slowdown_noted.add(id(spec))
-                    self._record(
-                        spec,
-                        f"device-{spec.effective_device}",
-                        f"smx x{spec.factor:g} for {spec.duration:g}s",
-                    )
-        self._slowdown_windows = keep
+        for spec in self._open(FaultKind.SMX_SLOWDOWN, now):
+            factor *= spec.factor
+            self._note(
+                spec,
+                f"device-{spec.effective_device}",
+                f"smx x{spec.factor:g} for {spec.duration:g}s",
+            )
         return factor
 
     def dma_stretch(self, direction: str, now: float) -> float:
@@ -826,25 +838,14 @@ class FaultInjector:
         factor multiplies the command's wire time.  Windows pinned to the
         other direction are skipped (but kept until they expire).
         """
-        self._arm(now)
         factor = 1.0
-        keep: List[FaultSpec] = []
-        for spec in self._stretch_windows:
-            if now >= spec.time + spec.duration:
-                continue  # window expired
-            keep.append(spec)
-            if spec.direction is not None and spec.direction != direction:
-                continue
-            if now >= spec.time:
-                factor *= spec.factor
-                if id(spec) not in self._stretch_noted:
-                    self._stretch_noted.add(id(spec))
-                    self._record(
-                        spec,
-                        f"dma-{direction.lower()}",
-                        f"stretch x{spec.factor:g} for {spec.duration:g}s",
-                    )
-        self._stretch_windows = keep
+        for spec in self._open(FaultKind.DMA_STRETCH, now, direction):
+            factor *= spec.factor
+            self._note(
+                spec,
+                f"dma-{direction.lower()}",
+                f"stretch x{spec.factor:g} for {spec.duration:g}s",
+            )
         return factor
 
     def clock_jitter(self, app_id: Optional[str], now: float) -> float:
@@ -855,33 +856,24 @@ class FaultInjector:
         own ``(time, device)`` identity — deterministic for a given plan
         no matter what else the run draws.
         """
-        self._arm(now)
         factor = 1.0
-        keep: List[FaultSpec] = []
-        for spec in self._jitter_windows:
-            if now >= spec.time + spec.duration:
-                continue  # window expired
-            keep.append(spec)
-            if now >= spec.time:
-                rng = self._jitter_rng.get(id(spec))
-                if rng is None:
-                    rng = np.random.default_rng(
-                        [
-                            zlib.crc32(b"clock-jitter"),
-                            int(round(spec.time * 1e9)) & 0x7FFFFFFF,
-                            spec.effective_device,
-                        ]
-                    )
-                    self._jitter_rng[id(spec)] = rng
-                factor *= 1.0 + (spec.factor - 1.0) * float(rng.random())
-                if id(spec) not in self._jitter_noted:
-                    self._jitter_noted.add(id(spec))
-                    self._record(
-                        spec,
-                        app_id,
-                        f"jitter <=x{spec.factor:g} for {spec.duration:g}s",
-                    )
-        self._jitter_windows = keep
+        for spec in self._open(FaultKind.CLOCK_JITTER, now):
+            rng = self._jitter_rng.get(id(spec))
+            if rng is None:
+                rng = np.random.default_rng(
+                    [
+                        zlib.crc32(b"clock-jitter"),
+                        int(round(spec.time * 1e9)) & 0x7FFFFFFF,
+                        spec.effective_device,
+                    ]
+                )
+                self._jitter_rng[id(spec)] = rng
+            factor *= 1.0 + (spec.factor - 1.0) * float(rng.random())
+            self._note(
+                spec,
+                app_id,
+                f"jitter <=x{spec.factor:g} for {spec.duration:g}s",
+            )
         return factor
 
     def gray_active(self, now: float) -> bool:
@@ -890,59 +882,36 @@ class FaultInjector:
         A read-only probe (mirrors :meth:`throttle_active`): does *not*
         record windows as applied — only a slowed activity does.
         """
-        self._arm(now)
-        return any(
-            spec.time <= now < spec.time + spec.duration
-            for windows in (
-                self._slowdown_windows,
-                self._stretch_windows,
-                self._jitter_windows,
-            )
-            for spec in windows
-        )
+        return any(self._open(kind, now) for kind in GRAY_KINDS)
 
     def drop_power_sample(self, now: float) -> bool:
         """Whether the power sample at ``now`` falls in a dropout window."""
-        self._arm(now)
-        active = False
-        keep: List[FaultSpec] = []
-        for spec in self._dropout_windows:
-            if now >= spec.time + spec.duration:
-                continue  # window expired
-            keep.append(spec)
-            if now >= spec.time:
-                active = True
-                if id(spec) not in self._dropout_noted:
-                    self._dropout_noted.add(id(spec))
-                    self._record(
-                        spec, "power-monitor", f"window={spec.duration:g}s"
-                    )
-        self._dropout_windows = keep
-        return active
+        windows = self._open(FaultKind.POWER_DROPOUT, now)
+        for spec in windows:
+            self._note(spec, "power-monitor", f"window={spec.duration:g}s")
+        return bool(windows)
 
     # -- framework-facing marks -------------------------------------------
 
     def mark_retry(self, app_id: str, attempt: int, delay: float) -> None:
         """Trace-mark a retry decision (no fault accounting)."""
-        if self.trace is not None:
-            self.trace.mark(
-                track=RESILIENCE_TRACK,
-                category="retry",
-                name=f"{app_id} retry#{attempt}",
-                time=self.env.now,
-                app=app_id,
-                attempt=attempt,
-                backoff=delay,
-            )
+        self.trace.mark(
+            track=RESILIENCE_TRACK,
+            category="retry",
+            name=f"{app_id} retry#{attempt}",
+            time=self.env.now,
+            app=app_id,
+            attempt=attempt,
+            backoff=delay,
+        )
 
     def mark_deadline(self, app_id: str, deadline: float) -> None:
         """Trace-mark a watchdog cancellation."""
-        if self.trace is not None:
-            self.trace.mark(
-                track=RESILIENCE_TRACK,
-                category="deadline",
-                name=f"{app_id} deadline",
-                time=self.env.now,
-                app=app_id,
-                deadline=deadline,
-            )
+        self.trace.mark(
+            track=RESILIENCE_TRACK,
+            category="deadline",
+            name=f"{app_id} deadline",
+            time=self.env.now,
+            app=app_id,
+            deadline=deadline,
+        )

@@ -3,8 +3,10 @@
 This package provides the event engine the GPU model is built on: an
 :class:`Environment` with a deterministic event calendar, generator-based
 :class:`Process` coroutines, FIFO :class:`Resource`/:class:`Mutex`/
-:class:`Store` primitives, and a :class:`TraceRecorder` that plays the role
-of the NVIDIA Visual Profiler for the reproduced timelines.
+:class:`Store` primitives, and the :class:`Span`/:class:`Instant` rows
+(held by a :class:`TraceRecorder`) that play the role of the NVIDIA
+Visual Profiler for the reproduced timelines.  The timelines themselves
+are derived from each run's command record, not recorded by the engines.
 
 The API intentionally mirrors SimPy (``env.process``, ``env.timeout``,
 ``yield event``) so the model code reads like standard DES Python, but the
@@ -24,7 +26,7 @@ from .errors import (
 from .events import NORMAL, URGENT, AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from .process import Process
 from .resources import Mutex, Request, Resource, Store
-from .trace import Instant, Span, SpanHandle, TraceRecorder
+from .trace import Instant, Span, TraceRecorder, max_overlap
 
 __all__ = [
     "Environment",
@@ -42,8 +44,8 @@ __all__ = [
     "Store",
     "TraceRecorder",
     "Span",
-    "SpanHandle",
     "Instant",
+    "max_overlap",
     "SimulationError",
     "EventError",
     "ScheduleError",

@@ -1,11 +1,14 @@
-"""Structured trace recording — the simulator's "Visual Profiler".
+"""Timeline spans and instants — the simulator's "Visual Profiler" view.
 
 The paper's Figures 1, 2 and 5 are NVIDIA Visual Profiler timelines.  The
-simulator records the same information as *spans* (an activity with a start
-and an end on a named track, e.g. ``Stream 35 / HtoD memcpy``) and
-*instants* (point events such as a kernel launch submission).  The
-:mod:`repro.analysis.timeline` module renders these traces as ASCII charts
-and CSV rows.
+repository shows the same information as *spans* (an activity with a start
+and an end on a named track, e.g. ``stream-3`` / HtoD memcpy) and
+*instants* (point events such as an injected fault).  The GPU model
+records neither: a run's timeline is derived after the fact from its
+command record (:func:`repro.framework.metrics.record_timeline`), and only
+the fault injector marks its own faults, retries and stalls into a
+:class:`TraceRecorder`.  :mod:`repro.analysis.timeline` renders timelines
+as ASCII charts and :mod:`repro.analysis.chrome_trace` exports them.
 
 Spans are deliberately plain dataclasses; everything downstream (metrics,
 timeline rendering, tests) works on these rows rather than reaching into
@@ -15,9 +18,9 @@ the simulator's internals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["Span", "Instant", "TraceRecorder", "SpanHandle"]
+__all__ = ["Span", "Instant", "TraceRecorder", "max_overlap"]
 
 
 @dataclass(frozen=True)
@@ -67,57 +70,32 @@ class Instant:
     meta: Dict[str, Any] = field(default_factory=dict)
 
 
-class SpanHandle:
-    """An open span returned by :meth:`TraceRecorder.begin`.
+def max_overlap(intervals: Iterable[Tuple[float, float]]) -> int:
+    """Peak number of simultaneously open ``(start, end)`` intervals.
 
-    Call :meth:`close` (usually from the same simulated process) to commit
-    the completed :class:`Span` to the recorder.
+    Empty intervals never count, and back-to-back intervals do not
+    overlap.  Used to assert that kernels really overlapped (Figure 5) or
+    that copies never did (single DMA engine invariant).
     """
-
-    __slots__ = ("_recorder", "track", "category", "name", "start", "meta")
-
-    def __init__(
-        self,
-        recorder: "TraceRecorder",
-        track: str,
-        category: str,
-        name: str,
-        start: float,
-        meta: Dict[str, Any],
-    ) -> None:
-        self._recorder = recorder
-        self.track = track
-        self.category = category
-        self.name = name
-        self.start = start
-        self.meta = meta
-
-    def close(self, end: float, **extra: Any) -> Span:
-        """Finish the span at time ``end`` and record it."""
-        meta = dict(self.meta)
-        meta.update(extra)
-        span = Span(
-            track=self.track,
-            category=self.category,
-            name=self.name,
-            start=self.start,
-            end=end,
-            meta=meta,
-        )
-        self._recorder.add_span(span)
-        return span
+    points: List[Tuple[float, int]] = []
+    for start, end in intervals:
+        if end <= start:
+            continue
+        points.append((start, 1))
+        points.append((end, -1))
+    # Process ends before starts at identical times.
+    points.sort()
+    level = peak = 0
+    for _, delta in points:
+        level += delta
+        peak = max(peak, level)
+    return peak
 
 
 class TraceRecorder:
-    """Accumulates spans and instants for one simulation run.
+    """Spans and instants of one simulation run, in recording order."""
 
-    The recorder is optional everywhere in the GPU model: components accept
-    ``trace=None`` and skip recording, so production-sized sweeps can run
-    without the memory overhead.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.spans: List[Span] = []
         self.instants: List[Instant] = []
 
@@ -125,22 +103,6 @@ class TraceRecorder:
         return len(self.spans)
 
     # -- recording -------------------------------------------------------
-
-    def add_span(self, span: Span) -> None:
-        """Append a completed span (no-op when disabled)."""
-        if self.enabled:
-            self.spans.append(span)
-
-    def begin(
-        self,
-        track: str,
-        category: str,
-        name: str,
-        start: float,
-        **meta: Any,
-    ) -> SpanHandle:
-        """Open a span; commit it later with :meth:`SpanHandle.close`."""
-        return SpanHandle(self, track, category, name, start, meta)
 
     def record(
         self,
@@ -150,10 +112,8 @@ class TraceRecorder:
         start: float,
         end: float,
         **meta: Any,
-    ) -> Optional[Span]:
+    ) -> Span:
         """Record a completed span in one call."""
-        if not self.enabled:
-            return None
         span = Span(track, category, name, start, end, dict(meta))
         self.spans.append(span)
         return span
@@ -162,8 +122,7 @@ class TraceRecorder:
         self, track: str, category: str, name: str, time: float, **meta: Any
     ) -> None:
         """Record an instant."""
-        if self.enabled:
-            self.instants.append(Instant(track, category, name, time, dict(meta)))
+        self.instants.append(Instant(track, category, name, time, dict(meta)))
 
     # -- queries ---------------------------------------------------------
 
@@ -206,49 +165,8 @@ class TraceRecorder:
             max(s.end for s in self.spans),
         )
 
-    def iter_sorted(self) -> Iterator[Span]:
-        """Spans ordered by start time (stable)."""
-        return iter(sorted(self.spans, key=lambda s: (s.start, s.end)))
-
     def max_concurrency(self, category: str) -> int:
-        """Peak number of simultaneously open spans of ``category``.
-
-        Used by tests to assert that kernels really overlapped (Figure 5)
-        or that copies never did (single DMA engine invariant).
-        """
-        points: List[Tuple[float, int]] = []
-        for s in self.spans:
-            if s.category != category or s.duration <= 0:
-                continue
-            points.append((s.start, 1))
-            points.append((s.end, -1))
-        # Process ends before starts at identical times: back-to-back spans
-        # do not count as overlapping.
-        points.sort(key=lambda p: (p[0], p[1]))
-        level = peak = 0
-        for _, delta in points:
-            level += delta
-            peak = max(peak, level)
-        return peak
-
-    def total_busy_time(self, category: str) -> float:
-        """Union length of all spans of ``category`` (merged intervals)."""
-        ivals = sorted(
-            (s.start, s.end)
-            for s in self.spans
-            if s.category == category and s.duration > 0
+        """Peak number of simultaneously open spans of ``category``."""
+        return max_overlap(
+            (s.start, s.end) for s in self.spans if s.category == category
         )
-        total = 0.0
-        cur_start: Optional[float] = None
-        cur_end = 0.0
-        for a, b in ivals:
-            if cur_start is None:
-                cur_start, cur_end = a, b
-            elif a <= cur_end:
-                cur_end = max(cur_end, b)
-            else:
-                total += cur_end - cur_start
-                cur_start, cur_end = a, b
-        if cur_start is not None:
-            total += cur_end - cur_start
-        return total

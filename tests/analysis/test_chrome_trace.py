@@ -236,7 +236,7 @@ class TestEndToEnd:
 
         run = quick_run(
             pair=("nn", "needle"), num_apps=4, num_streams=4,
-            scale="tiny", record_trace=True,
+            scale="tiny",
         )
         path = write_chrome_trace(run.harness.trace, tmp_path / "run.json")
         loaded = json.loads(path.read_text())

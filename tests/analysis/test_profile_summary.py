@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.profile_summary import (
     _span_stats,
     kernel_summary,
-    stream_summary,
     transfer_summary,
 )
 from repro.sim.trace import TraceRecorder
@@ -61,7 +60,6 @@ class TestEmptySummaries:
         empty = TraceRecorder()
         assert kernel_summary(empty) == []
         assert transfer_summary(empty) == []
-        assert stream_summary(empty) == []
 
 
 class TestTransferSummary:
@@ -80,24 +78,13 @@ class TestTransferSummary:
         assert [r["direction"] for r in rows] == ["HtoD"]
 
 
-class TestStreamSummary:
-    def test_per_stream_rows(self, trace):
-        rows = stream_summary(trace)
-        assert [r["stream"] for r in rows] == ["stream-0", "stream-1"]
-        s0 = rows[0]
-        assert s0["kernels"] == 2
-        assert s0["memcpys"] == 1
-        assert s0["kernel_ms"] == pytest.approx(7.0)
-        assert s0["active_window_ms"] == pytest.approx(8.0)
-
-
 class TestEndToEnd:
     def test_from_harness_trace(self):
         from repro.core.runner import quick_run
 
         run = quick_run(
             pair=("nn", "needle"), num_apps=4, num_streams=4,
-            scale="tiny", record_trace=True,
+            scale="tiny",
         )
         kernels = kernel_summary(run.harness.trace)
         names = {r["kernel"] for r in kernels}
@@ -105,5 +92,5 @@ class TestEndToEnd:
         assert any(n.startswith("needle_cuda") for n in names)
         transfers = transfer_summary(run.harness.trace)
         assert {r["direction"] for r in transfers} == {"HtoD", "DtoH"}
-        streams = stream_summary(run.harness.trace)
-        assert len(streams) == 4
+        tracks = run.harness.trace.tracks()
+        assert len([t for t in tracks if t.startswith("stream-")]) == 4

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.analysis.stats import (
-    concurrency_profile,
-    dma_utilization,
-    gpu_utilization,
-    mean_confidence_interval,
-    summarize,
-)
-from repro.sim.trace import TraceRecorder
+from repro.analysis.stats import mean_confidence_interval, summarize
 
 
 class TestSummary:
@@ -41,37 +34,3 @@ class TestConfidenceInterval:
         mean, lo, hi = mean_confidence_interval([7.0])
         assert mean == lo == hi == 7.0
 
-
-class TestUtilization:
-    def make_trace(self):
-        trace = TraceRecorder()
-        trace.record("s0", "kernel", "k", 0.0, 4.0)
-        trace.record("s1", "kernel", "k", 2.0, 6.0)
-        trace.record("dma-htod", "dma_htod", "", 0.0, 2.0)
-        return trace
-
-    def test_gpu_utilization(self):
-        trace = self.make_trace()
-        # Kernels cover [0, 6] of the [0, 6] extent.
-        assert gpu_utilization(trace) == pytest.approx(1.0)
-        assert gpu_utilization(trace, window=(0.0, 12.0)) == pytest.approx(0.5)
-
-    def test_dma_utilization(self):
-        trace = self.make_trace()
-        assert dma_utilization(trace, "htod") == pytest.approx(2.0 / 6.0)
-        assert dma_utilization(trace, "dtoh") == 0.0
-
-    def test_empty_trace(self):
-        assert gpu_utilization(TraceRecorder()) == 0.0
-
-    def test_concurrency_profile(self):
-        trace = self.make_trace()
-        profile = concurrency_profile(trace, points=13)
-        assert len(profile) == 13
-        # At t=3 both kernels are active.
-        mid = [count for t, count in profile if 2.0 < t < 4.0]
-        assert max(mid) == 2
-        assert profile[0][1] >= 1
-
-    def test_concurrency_profile_empty(self):
-        assert concurrency_profile(TraceRecorder()) == []

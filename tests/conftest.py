@@ -28,7 +28,7 @@ def env() -> Environment:
 
 @pytest.fixture
 def trace() -> TraceRecorder:
-    """An enabled trace recorder."""
+    """An empty trace recorder."""
     return TraceRecorder()
 
 
@@ -39,8 +39,8 @@ def k20():
 
 
 @pytest.fixture
-def device(env, trace, k20):
-    """A traced K20 device in a fresh environment."""
+def device(env, k20):
+    """A K20 device in a fresh environment."""
     from repro.gpu.device import GPUDevice
 
-    return GPUDevice(env, spec=k20, trace=trace)
+    return GPUDevice(env, spec=k20)

@@ -2,7 +2,8 @@
 
 ``golden_manifest.json`` pins the sha1 of every CSV each entry of
 :data:`repro.core.registry.EXPERIMENTS` writes, of the Chrome traces
-of Figure 1's default and synchronized runs, of the report
+of Figure 1's default and synchronized runs, of what the ``timeline``
+command prints for both runs (:data:`TIMELINE_COMMANDS`), of the report
 :func:`repro.analysis.report.build_report` assembles from those CSVs,
 and of what the serving commands write (:data:`SERVING_COMMANDS`).
 The CSVs come from the CLI (``python -m repro --scale tiny --out DIR
@@ -38,6 +39,13 @@ MANIFEST = Path(__file__).with_name("golden_manifest.json")
 SCALE = "tiny"
 
 Hashes = Dict[str, Dict[str, str]]
+
+#: ``timeline`` invocations whose stdout is pinned: the Figure 1/2 view,
+#: the run summary, and the kernel and transfer summaries.
+TIMELINE_COMMANDS = {
+    "stdout": ["timeline"],
+    "stdout --sync": ["timeline", "--sync"],
+}
 
 #: CLI commands over the arrival-driven serving engine, with the files
 #: each writes under ``--out``.
@@ -75,6 +83,13 @@ def compute(out_dir: Path) -> Hashes:
     for label, trace in (("default", study.default_trace), ("sync", study.sync_trace)):
         path = write_chrome_trace(trace, out_dir / f"fig01_{label}_trace.json")
         hashes["fig1-traces"][path.name] = _sha1(path.read_bytes())
+    hashes["timeline"] = {}
+    for key, argv in TIMELINE_COMMANDS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--scale", SCALE, *argv])
+        assert code == 0, key
+        hashes["timeline"][key] = _sha1(out.getvalue().encode("utf-8"))
     report = build_report(out_dir, report_sections())
     hashes["report"] = {"EXPERIMENTS.md": _sha1(report.encode("utf-8"))}
     for name, (argv, files) in SERVING_COMMANDS.items():

@@ -28,6 +28,69 @@ class TestConfigValidation:
         assert cfg.spec.name == "Tesla K20"
 
 
+class TestTimeline:
+    """``HarnessResult.trace``: the profiler view of the command record."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return TestHarness(
+            HarnessConfig(apps=small_apps("needle", 2), num_streams=2)
+        ).run()
+
+    def test_every_run_has_a_timeline(self, result):
+        assert result.marks.spans == [] and result.marks.instants == []
+        assert result.trace.spans
+        assert result.trace.instants == []
+
+    def test_kernel_spans_match_kernel_events(self, result):
+        spans = result.trace.filter(category="kernel")
+        expected = [
+            (f"stream-{r.stream_index}", k.name, k.started, k.completed,
+             {"app": r.app_id, "blocks": k.num_blocks, "waves": k.waves})
+            for r in result.records
+            for k in r.kernels
+        ]
+        actual = [(s.track, s.name, s.start, s.end, s.meta) for s in spans]
+        assert len(actual) == len(expected)
+        assert sorted(actual, key=repr) == sorted(expected, key=repr)
+        assert all(list(s.meta) == ["app", "blocks", "waves"] for s in spans)
+
+    def test_copy_spans_on_stream_and_engine_tracks(self, result):
+        trace = result.trace
+        for record in result.records:
+            for t in record.transfers:
+                d = t.direction.value.lower()
+                (copy,) = [
+                    s for s in trace.filter(
+                        track=f"stream-{record.stream_index}",
+                        category=f"memcpy_{d}",
+                    )
+                    if (s.start, s.end) == (t.started, t.completed)
+                ]
+                assert copy.name == (t.buffer or f"{t.nbytes}B")
+                assert copy.meta == {"app": record.app_id, "bytes": t.nbytes}
+                assert list(copy.meta) == ["app", "bytes"]
+                (engine,) = [
+                    s for s in trace.filter(track=f"dma-{d}")
+                    if (s.start, s.end) == (t.started, t.completed)
+                ]
+                assert engine.category == f"dma_{d}"
+                assert engine.name == record.app_id
+                assert engine.meta == {"bytes": t.nbytes}
+        copies = sum(len(r.transfers) for r in result.records)
+        assert len(trace.spans) == 2 * copies + sum(
+            len(r.kernels) for r in result.records
+        )
+
+    def test_tracks_and_completion_order(self, result):
+        trace = result.trace
+        assert set(trace.tracks()) == {
+            "stream-0", "stream-1", "dma-htod", "dma-dtoh",
+        }
+        ends = [s.end for s in trace.spans]
+        assert ends == sorted(ends)
+
+
 class TestExecution:
     def test_all_apps_complete(self):
         result = TestHarness(
@@ -81,14 +144,6 @@ class TestExecution:
             le = rec.effective_latency(CopyDirection.HTOD)
             pure = rec.pure_transfer_time(CopyDirection.HTOD)
             assert le < pure * 1.5 + 100e-6
-
-    def test_trace_recording_optional(self):
-        cfg = HarnessConfig(apps=small_apps(), num_streams=2, record_trace=True)
-        result = TestHarness(cfg).run()
-        assert result.trace is not None
-        assert len(result.trace.spans) > 0
-        cfg2 = HarnessConfig(apps=small_apps(), num_streams=2)
-        assert TestHarness(cfg2).run().trace is None
 
     def test_power_accounting(self):
         result = TestHarness(

@@ -8,7 +8,7 @@ from repro.gpu.kernels import Dim3, KernelDescriptor
 from repro.gpu.smx import SMXArray
 from repro.gpu.specs import SMXSpec
 from repro.sim.engine import Environment
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import max_overlap
 
 
 def kd(blocks, tpb=256, duration=10e-6, name="k", regs=0, smem=0):
@@ -22,13 +22,16 @@ def kd(blocks, tpb=256, duration=10e-6, name="k", regs=0, smem=0):
     )
 
 
-def make_engine(num_smx=13, trace=None, admission=None, quantum=0.0):
+def make_engine(num_smx=13, admission=None, quantum=0.0):
     env = Environment()
     arr = SMXArray(num_smx, SMXSpec())
-    engine = GridEngine(
-        env, arr, trace=trace, admission=admission, retire_quantum=quantum
-    )
+    engine = GridEngine(env, arr, admission=admission, retire_quantum=quantum)
     return env, arr, engine
+
+
+def overlap(cmds):
+    """Peak number of launches executing at once."""
+    return max_overlap((c.started.value, c.done.value) for c in cmds)
 
 
 def launch(env, engine, descriptor, stream_id=0):
@@ -60,8 +63,6 @@ class TestSingleGrid:
         cmd = launch(env, engine, kd(300, duration=1e-6))
         env.run()
         assert cmd.started.value == pytest.approx(0.0)
-        assert cmd.first_block_time == pytest.approx(0.0)
-        assert cmd.last_block_time == cmd.done.value
 
     def test_resources_returned_after_completion(self):
         env, arr, engine = make_engine()
@@ -86,7 +87,7 @@ class TestLeftoverPolicy:
 
     def test_oversubscription_overlaps_figure5(self):
         """Five grids totalling 1203 blocks (> 208) all overlap."""
-        env, arr, engine = make_engine(trace=TraceRecorder())
+        env, arr, engine = make_engine()
         mix = [
             kd(89, tpb=32, duration=60e-6, name="n1"),
             kd(88, tpb=32, duration=60e-6, name="n2"),
@@ -97,7 +98,7 @@ class TestLeftoverPolicy:
         assert sum(k.num_blocks for k in mix) == 1203
         cmds = [launch(env, engine, k, stream_id=i) for i, k in enumerate(mix)]
         env.run()
-        assert engine.trace.max_concurrency("kernel") == 5
+        assert overlap(cmds) == 5
 
     def test_in_order_start_for_equal_kernels(self):
         """Grids of the same shape start in arrival order."""
@@ -130,24 +131,24 @@ class TestAdmissionControl:
         from repro.gpu.specs import tesla_k20
 
         admission = symbiosis_admission(tesla_k20())
-        env, arr, engine = make_engine(trace=TraceRecorder(), admission=admission)
+        env, arr, engine = make_engine(admission=admission)
         a = launch(env, engine, kd(150, tpb=64, duration=10e-6, name="a"))
         b = launch(env, engine, kd(150, tpb=64, duration=10e-6, name="b"))
         env.run()
         # 150 + 150 = 300 > 208 -> b must wait for a.
         assert b.started.value >= a.done.value
-        assert engine.trace.max_concurrency("kernel") == 1
+        assert overlap([a, b]) == 1
 
     def test_symbiosis_allows_fitting_pair(self):
         from repro.core.baselines import symbiosis_admission
         from repro.gpu.specs import tesla_k20
 
         admission = symbiosis_admission(tesla_k20())
-        env, arr, engine = make_engine(trace=TraceRecorder(), admission=admission)
+        env, arr, engine = make_engine(admission=admission)
         a = launch(env, engine, kd(100, tpb=64, duration=10e-6, name="a"))
         b = launch(env, engine, kd(100, tpb=64, duration=10e-6, name="b"))
         env.run()
-        assert engine.trace.max_concurrency("kernel") == 2
+        assert overlap([a, b]) == 2
 
 
 class TestRetireQuantum:
@@ -168,15 +169,3 @@ class TestRetireQuantum:
         with pytest.raises(ValueError):
             GridEngine(env, SMXArray(1, SMXSpec()), retire_quantum=-1.0)
 
-
-class TestTrace:
-    def test_kernel_span_recorded(self):
-        trace = TraceRecorder()
-        env, arr, engine = make_engine(trace=trace)
-        launch(env, engine, kd(10, duration=5e-6, name="mykernel"), stream_id=7)
-        env.run()
-        spans = trace.filter(category="kernel")
-        assert len(spans) == 1
-        assert spans[0].name == "mykernel"
-        assert spans[0].track == "stream-7"
-        assert spans[0].meta["blocks"] == 10

@@ -54,7 +54,6 @@ class TestKernelLaunch:
         cmd = KernelLaunchCommand(env, kd)
         assert cmd.label == "Fan2"
         assert cmd.waves == 0
-        assert cmd.first_block_time is None
 
 
 class TestMarker:

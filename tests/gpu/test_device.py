@@ -9,7 +9,7 @@ from repro.gpu.device import GPUDevice
 from repro.gpu.kernels import Dim3, KernelDescriptor
 from repro.gpu.specs import fermi_c2050, tesla_k20
 from repro.sim.engine import Environment
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import max_overlap
 
 
 def kd(blocks=8, tpb=256, duration=10e-6, name="k"):
@@ -20,6 +20,11 @@ def kd(blocks=8, tpb=256, duration=10e-6, name="k"):
         registers_per_thread=0,
         block_duration=duration,
     )
+
+
+def overlap(cmds):
+    """Peak number of commands executing at once."""
+    return max_overlap((c.started.value, c.done.value) for c in cmds)
 
 
 class TestStreamOrdering:
@@ -33,13 +38,13 @@ class TestStreamOrdering:
         assert c1.done.value <= k.started.value
         assert k.done.value <= c2.started.value
 
-    def test_independent_streams_overlap_kernels(self, env, device, trace):
+    def test_independent_streams_overlap_kernels(self, env, device):
         """Two streams' kernels overlap (Hyper-Q works)."""
         s1, s2 = device.create_stream(), device.create_stream()
-        s1.enqueue_kernel(kd(blocks=8, duration=100e-6, name="a"))
-        s2.enqueue_kernel(kd(blocks=8, duration=100e-6, name="b"))
+        a = s1.enqueue_kernel(kd(blocks=8, duration=100e-6, name="a"))
+        b = s2.enqueue_kernel(kd(blocks=8, duration=100e-6, name="b"))
         env.run()
-        assert trace.max_concurrency("kernel") == 2
+        assert overlap([a, b]) == 2
 
     def test_marker_completes_in_order(self, env, device):
         s = device.create_stream()
@@ -87,32 +92,35 @@ class TestFermiFalseSerialization:
 
     def test_single_queue_serializes_independent_streams(self):
         env = Environment()
-        trace = TraceRecorder()
-        device = GPUDevice(env, spec=fermi_c2050(), trace=trace)
-        for _ in range(3):
+        device = GPUDevice(env, spec=fermi_c2050())
+        cmds = [
             device.create_stream().enqueue_kernel(kd(blocks=4, duration=50e-6))
+            for _ in range(3)
+        ]
         env.run()
-        assert trace.max_concurrency("kernel") == 1
+        assert overlap(cmds) == 1
 
     def test_kepler_removes_false_serialization(self):
         env = Environment()
-        trace = TraceRecorder()
-        device = GPUDevice(env, spec=tesla_k20(), trace=trace)
-        for _ in range(3):
+        device = GPUDevice(env, spec=tesla_k20())
+        cmds = [
             device.create_stream().enqueue_kernel(kd(blocks=4, duration=50e-6))
+            for _ in range(3)
+        ]
         env.run()
-        assert trace.max_concurrency("kernel") == 3
+        assert overlap(cmds) == 3
 
     def test_queue_aliasing_with_many_streams(self):
         """More streams than hardware queues -> some pairs serialize."""
         env = Environment()
-        trace = TraceRecorder()
-        device = GPUDevice(env, spec=tesla_k20().with_hardware_queues(2), trace=trace)
-        for _ in range(4):
+        device = GPUDevice(env, spec=tesla_k20().with_hardware_queues(2))
+        cmds = [
             device.create_stream().enqueue_kernel(kd(blocks=1, duration=50e-6))
+            for _ in range(4)
+        ]
         env.run()
         # 4 streams on 2 queues: at most 2 run concurrently.
-        assert trace.max_concurrency("kernel") == 2
+        assert overlap(cmds) == 2
 
 
 class TestDmaIntegration:
@@ -124,7 +132,7 @@ class TestDmaIntegration:
         assert device.dma[CopyDirection.HTOD].commands_served == 1
         assert device.dma[CopyDirection.DTOH].commands_served == 1
 
-    def test_opposite_directions_overlap(self, env, device, trace):
+    def test_opposite_directions_overlap(self, env, device):
         """HtoD and DtoH engines run in parallel (two DMA engines)."""
         s1, s2 = device.create_stream(), device.create_stream()
         up = s1.enqueue_memcpy(CopyDirection.HTOD, 10**7)
@@ -132,12 +140,12 @@ class TestDmaIntegration:
         env.run()
         assert up.started.value == down.started.value == pytest.approx(0.0)
 
-    def test_same_direction_serializes(self, env, device, trace):
+    def test_same_direction_serializes(self, env, device):
         s1, s2 = device.create_stream(), device.create_stream()
-        s1.enqueue_memcpy(CopyDirection.HTOD, 10**6)
-        s2.enqueue_memcpy(CopyDirection.HTOD, 10**6)
+        a = s1.enqueue_memcpy(CopyDirection.HTOD, 10**6)
+        b = s2.enqueue_memcpy(CopyDirection.HTOD, 10**6)
         env.run()
-        assert trace.max_concurrency("memcpy_htod") == 1
+        assert overlap([a, b]) == 1
 
 
 class TestPowerAccounting:

@@ -13,7 +13,7 @@ from repro.gpu.commands import CopyDirection
 from repro.gpu.device import GPUDevice
 from repro.gpu.kernels import Dim3, KernelDescriptor
 from repro.sim.engine import Environment
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import max_overlap
 
 # One command recipe: (kind, size parameter).
 commands = st.one_of(
@@ -42,8 +42,7 @@ def workloads(draw):
 def test_device_invariants(workload):
     per_stream, tpb = workload
     env = Environment()
-    trace = TraceRecorder()
-    device = GPUDevice(env, trace=trace)
+    device = GPUDevice(env)
     issued = []
 
     for stream_cmds in per_stream:
@@ -75,8 +74,13 @@ def test_device_invariants(workload):
         last_done[sid] = end
 
     # 2. Single engine per copy direction.
-    assert trace.max_concurrency("memcpy_htod") <= 1
-    assert trace.max_concurrency("memcpy_dtoh") <= 1
+    for direction in CopyDirection:
+        copies = [
+            (cmd.started.value, cmd.done.value)
+            for _, cmd in issued
+            if getattr(cmd, "direction", None) is direction
+        ]
+        assert max_overlap(copies) <= 1
 
     # 3. SMX resources fully returned; occupancy bounded during the run.
     assert device.smx.resident_blocks == 0

@@ -25,6 +25,11 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec(FaultKind.KERNEL_HANG, 0.0, factor=1.0)
 
+    def test_integrity_violation_is_never_injected(self):
+        # Only the integrity checker reports this kind.
+        with pytest.raises(ValueError, match="never injected"):
+            FaultSpec(FaultKind.INTEGRITY_VIOLATION, 0.0, duration=1.0)
+
     def test_matches_any_when_untargeted(self):
         spec = FaultSpec(FaultKind.LAUNCH_FAIL, 0.0)
         assert spec.matches("gaussian#0")
@@ -155,18 +160,34 @@ class TestFaultInjector:
         # The window is recorded exactly once despite two dropped samples.
         assert injector.applied_counts() == {"power_dropout": 1}
 
-    def test_fault_marks_land_on_resilience_track(self, env, trace):
+    def test_dma_stall_records_its_span(self, env):
+        plan = FaultPlan(
+            [
+                FaultSpec(FaultKind.DMA_STALL, 0.0, duration=1e-3, direction="HtoD"),
+                FaultSpec(FaultKind.DMA_STALL, 0.0, duration=2e-3),
+            ]
+        )
+        injector = FaultInjector(env, plan)
+        assert injector.dma_stall("HtoD", now=1.0) == pytest.approx(3e-3)
+        assert injector.dma_stall("HtoD", now=2.0) == 0.0
+        (span,) = injector.trace.spans
+        assert (span.track, span.category, span.name) == (
+            "dma-htod", "dma_stall", "injected stall",
+        )
+        assert (span.start, span.end) == (1.0, 1.0 + 3e-3)
+
+    def test_fault_marks_land_on_resilience_track(self, env):
         plan = FaultPlan([FaultSpec(FaultKind.LAUNCH_FAIL, 0.0)])
-        injector = FaultInjector(env, plan, trace=trace)
+        injector = FaultInjector(env, plan)
         injector.kernel_fault("gaussian#0", now=0.0)
-        marks = [i for i in trace.instants if i.track == "resilience"]
+        marks = [i for i in injector.trace.instants if i.track == "resilience"]
         assert len(marks) == 1
         assert marks[0].category == "fault"
         assert marks[0].name == "launch_fail"
 
-    def test_retry_and_deadline_marks(self, env, trace):
-        injector = FaultInjector(env, trace=trace)
+    def test_retry_and_deadline_marks(self, env):
+        injector = FaultInjector(env)
         injector.mark_retry("gaussian#0", attempt=1, delay=1e-3)
         injector.mark_deadline("needle#1", deadline=0.25)
-        categories = [i.category for i in trace.instants]
+        categories = [i.category for i in injector.trace.instants]
         assert categories == ["retry", "deadline"]

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.runner import ExperimentRunner, RunConfig
 from repro.core.workload import Workload
+from repro.framework.metrics import record_timeline
 from repro.resilience import (
     FaultKind,
     FaultPlan,
@@ -18,6 +19,7 @@ from repro.resilience import (
     ResilienceConfig,
     RetryPolicy,
 )
+from repro.sim.trace import TraceRecorder
 
 pytestmark = pytest.mark.resilience
 
@@ -79,7 +81,6 @@ def _faulted_run(clean):
             workload=workload,
             num_streams=NUM_STREAMS,
             resilience=resilience,
-            record_trace=True,
             # Sample densely relative to the (scale-dependent) horizon so
             # the dropout window always covers at least one power sample.
             power_interval=clean.makespan * 0.01,
@@ -143,6 +144,25 @@ class TestFaultedRun:
         marks = [i for i in trace.instants if i.track == "resilience"]
         categories = {i.category for i in marks}
         assert {"fault", "retry", "deadline", "degrade"} <= categories
+
+    def test_timeline_is_records_plus_marks(self, clean, faulted):
+        harness = faulted.harness
+        timeline = harness.trace
+        # The records' commands, in the order they give on their own ...
+        commands = record_timeline(harness.records, TraceRecorder()).spans
+        assert [s for s in timeline.spans if s.category != "dma_stall"] == (
+            commands
+        )
+        # ... plus the injector's instants and its one stall span.
+        assert timeline.instants == harness.marks.instants
+        (stall,) = timeline.filter(category="dma_stall")
+        assert harness.marks.spans == [stall]
+        (fault,) = [
+            i for i in timeline.instants if i.name == "dma_stall"
+        ]
+        assert stall.track == fault.meta["target"] == "dma-htod"
+        assert stall.start == fault.time
+        assert stall.duration == pytest.approx(clean.makespan * 0.05)
 
     def test_summary_reaches_harness_digest(self, faulted):
         assert "resilience:" in faulted.harness.summary()

@@ -108,7 +108,6 @@ def run_harness_cell(h, applied, seed, pair, sync, traced):
             apps=workload.instantiate(),
             num_streams=8,
             memory_sync=sync,
-            record_trace=True,
             seed=seed,
             resilience=resilience,
             tracing=tracing,

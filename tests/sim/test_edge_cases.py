@@ -74,10 +74,6 @@ class TestResourceRepr:
 
 
 class TestTraceRecorderMisc:
-    def test_record_returns_none_when_disabled(self):
-        trace = TraceRecorder(enabled=False)
-        assert trace.record("t", "kernel", "k", 0, 1) is None
-
     def test_len_counts_spans_only(self):
         trace = TraceRecorder()
         trace.record("t", "kernel", "k", 0, 1)

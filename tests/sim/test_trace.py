@@ -1,6 +1,6 @@
 """Unit tests for :mod:`repro.sim.trace`."""
 
-from repro.sim.trace import Span, TraceRecorder
+from repro.sim.trace import Span, max_overlap
 
 
 def span(track="t", cat="kernel", name="k", start=0.0, end=1.0, **meta):
@@ -28,19 +28,6 @@ class TestRecorder:
         assert len(trace.filter(name="Fan1")) == 1
         assert len(trace.filter(predicate=lambda s: s.duration == 1.0)) == 2
 
-    def test_disabled_recorder_drops_everything(self):
-        trace = TraceRecorder(enabled=False)
-        trace.record("t", "kernel", "k", 0, 1)
-        trace.mark("t", "launch", "k", 0)
-        assert len(trace) == 0
-        assert trace.instants == []
-
-    def test_begin_close_handle(self, trace):
-        handle = trace.begin("stream-0", "kernel", "Fan2", 1.0, blocks=4)
-        committed = handle.close(2.0, waves=2)
-        assert committed.meta == {"blocks": 4, "waves": 2}
-        assert trace.spans == [committed]
-
     def test_tracks_first_seen_order(self, trace):
         trace.record("b", "kernel", "k", 0, 1)
         trace.record("a", "kernel", "k", 1, 2)
@@ -52,11 +39,6 @@ class TestRecorder:
         trace.record("t", "kernel", "k", 2.0, 5.0)
         trace.record("t", "kernel", "k", 1.0, 3.0)
         assert trace.extent() == (1.0, 5.0)
-
-    def test_iter_sorted(self, trace):
-        trace.record("t", "kernel", "b", 2.0, 3.0)
-        trace.record("t", "kernel", "a", 1.0, 2.0)
-        assert [s.name for s in trace.iter_sorted()] == ["a", "b"]
 
 
 class TestConcurrencyQueries:
@@ -76,11 +58,7 @@ class TestConcurrencyQueries:
         trace.record("s0", "memcpy_htod", "x", 0.0, 1.0)
         assert trace.max_concurrency("kernel") == 1
 
-    def test_total_busy_time_merges_intervals(self, trace):
-        trace.record("s0", "kernel", "a", 0.0, 2.0)
-        trace.record("s1", "kernel", "b", 1.0, 3.0)   # overlaps -> union
-        trace.record("s2", "kernel", "c", 5.0, 6.0)   # disjoint
-        assert trace.total_busy_time("kernel") == 4.0
-
-    def test_total_busy_time_empty(self, trace):
-        assert trace.total_busy_time("kernel") == 0.0
+    def test_max_overlap_over_plain_intervals(self):
+        assert max_overlap([]) == 0
+        assert max_overlap([(0.0, 2.0), (1.0, 3.0), (2.0, 4.0)]) == 2
+        assert max_overlap([(1.0, 1.0), (1.0, 1.0)]) == 0  # empty intervals
