@@ -25,20 +25,18 @@ work is shed at phase boundaries and the survivors keep producing.
   budget on;
 * with every containment feature off the results are byte-identical to
   a config that never heard of containment, and the full stack enabled
-  but idle costs < 2% wall clock (paired-minimum methodology, as in
-  ``bench_hedging.py``).
+  but idle costs < 2% host time (:func:`overhead.measure_overhead`).
 
 ``results/bench_cascade.csv`` is the recovery timeline: per detection
 window, goodput/capacity ratio and brownout level, contained vs not.
 """
 
-import gc
-import time
 from pathlib import Path
 from statistics import median
 
 import pytest
 from conftest import once
+from overhead import measure_overhead
 
 from repro.analysis.tables import format_table, write_csv
 from repro.fleet import (
@@ -90,15 +88,9 @@ FAST_HEALTH = dict(
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_cascade.json"
 
-#: Paired-minimum overhead loop (see bench_integrity_overhead.py). The
-#: budget stays fixed across scales: the effect under measurement is
-#: ~1% and a short repeat loop cannot resolve it from scheduler noise.
-#: The idle measurement runs a single wave (one app per device) so the
-#: budget buys enough paired repeats for the minima to converge — the
+#: The idle measurement runs a single wave (one app per device): the
 #: per-event bookkeeping cost being measured does not depend on batch
 #: depth, and the three-wave scenario run is ~3x too slow to sample.
-TIME_BUDGET_S = 20.0
-MIN_REPEATS = 4
 IDLE_APPS = DEVICES
 
 
@@ -333,32 +325,6 @@ def _record_key(result):
     ]
 
 
-def _paired_minima(budget_s, rate, deadlines):
-    """(best off s, best on s, off key, on key, repeats) — fault-free."""
-    best = {False: float("inf"), True: float("inf")}
-    keys = {}
-    deadline = time.perf_counter() + budget_s
-    rep = 0
-    while rep < MIN_REPEATS or time.perf_counter() < deadline:
-        order = (False, True) if rep % 2 == 0 else (True, False)
-        for armed in order:
-            gc.collect()
-            t0 = time.perf_counter()
-            result = _run(
-                _containment(rate) if armed else {},
-                deadlines=deadlines if armed else None,
-                apps=IDLE_APPS,
-            )
-            best[armed] = min(best[armed], time.perf_counter() - t0)
-            keys[armed] = _record_key(result)
-            if armed:
-                assert result.shed_apps == 0
-                assert result.storm_queued == 0
-                assert result.retry_budget_granted == 0
-        rep += 1
-    return best[False], best[True], keys[False], keys[True], rep
-
-
 @pytest.mark.fleet
 def test_cascade_containment_idle_is_free(benchmark, results_dir):
     clean = _run({}, apps=IDLE_APPS)
@@ -368,25 +334,24 @@ def test_cascade_containment_idle_is_free(benchmark, results_dir):
     rate = total / (last - gpu0) / DEVICES
     # Deadlines no fault-free run can miss: shedding stays idle.
     generous = {r.app_id: 2 * r.complete_time for r in clean.records}
-    # Warm both code paths before timing.
-    _run(_containment(rate), deadlines=generous, apps=IDLE_APPS)
-    off_s, on_s, off_key, on_key, reps = once(
-        benchmark, _paired_minima, TIME_BUDGET_S, rate, generous
-    )
 
-    # With no fault the whole stack observes and never acts: simulated
-    # results are identical, not merely close.
-    assert on_key == off_key
+    def off():
+        return _record_key(_run({}, apps=IDLE_APPS))
 
-    overhead_pct = (on_s - off_s) / off_s * 100.0
+    def on():
+        result = _run(_containment(rate), deadlines=generous, apps=IDLE_APPS)
+        # With no fault the whole stack observes and never acts:
+        # simulated results are identical, not merely close.
+        assert result.shed_apps == 0
+        assert result.storm_queued == 0
+        assert result.retry_budget_granted == 0
+        return _record_key(result)
+
+    measured = once(benchmark, measure_overhead, off, on)
     rows = [
         {
             "config": f"{DEVICES}dev x {IDLE_APPS} dense apps, no faults",
-            "repeats": reps,
-            "containment_off_s": off_s,
-            "containment_on_s": on_s,
-            "overhead_pct": overhead_pct,
-            "results_identical": True,
+            **measured._asdict(),
         }
     ]
     print()
@@ -395,10 +360,10 @@ def test_cascade_containment_idle_is_free(benchmark, results_dir):
     record_trajectory_point(
         TRAJECTORY_PATH,
         "bench_cascade",
-        {"idle_overhead_pct": overhead_pct},
+        {"idle_overhead_pct": measured.overhead_pct},
     )
 
-    assert overhead_pct < 2.0, (
-        f"idle containment stack cost {overhead_pct:.2f}% of wall time "
-        "(budget: 2%)"
+    assert measured.overhead_pct < 2.0, (
+        f"idle containment stack cost {measured.overhead_pct:.2f}% of host "
+        "time (budget: 2%)"
     )

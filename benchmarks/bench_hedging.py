@@ -17,8 +17,7 @@ acceptance bargain in ``BENCH_hedging.json``:
 A second test pins the other half of the bargain: with gray faults
 absent, enabling hedging changes *nothing* (identical records — the
 detector observes, the scanner scans, nobody acts) and the hedging path
-costs < 2% wall clock, measured with the same paired-minimum
-methodology as ``bench_integrity_overhead.py``.
+costs < 2% host time, measured by :func:`overhead.measure_overhead`.
 
 The workload is synthetic rather than a Rodinia port because the tiny
 test-scale Rodinia profiles are launch-overhead-dominated: a 4x compute
@@ -28,12 +27,11 @@ phase, 40 phases, so compute dominates and every phase boundary is a
 checkpoint the replica can fork from.
 """
 
-import gc
-import time
 from pathlib import Path
 
 import pytest
 from conftest import once
+from overhead import measure_overhead
 
 from repro.analysis.tables import format_table, write_csv
 from repro.fleet import FleetConfig, FleetHarness, HedgeConfig
@@ -72,10 +70,6 @@ HEDGE = HedgeConfig(check_interval=0.2e-3)
 HEDGE_DEFAULT = HedgeConfig()
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_hedging.json"
-
-#: Paired-minimum overhead loop (see bench_integrity_overhead.py).
-TIME_BUDGET_S = 20.0
-MIN_REPEATS = 4
 
 
 def _dense_app(instance):
@@ -223,57 +217,25 @@ def _record_key(result):
     ]
 
 
-def _paired_minima(budget_s):
-    """(best off s, best on s, off key, on key, repeats).
+def _idle_off():
+    return _record_key(_run(None, plan=None, fast_health=False))
 
-    Alternating off/on pairs, per-side minimum over a time-budgeted
-    repeat loop — the same floor estimator bench_integrity_overhead.py
-    uses, for the same reason: the effect under measurement is smaller
-    than slot-to-slot wall-clock drift.
-    """
-    best = {False: float("inf"), True: float("inf")}
-    keys = {}
-    deadline = time.perf_counter() + budget_s
-    rep = 0
-    while rep < MIN_REPEATS or time.perf_counter() < deadline:
-        order = (False, True) if rep % 2 == 0 else (True, False)
-        for hedging_on in order:
-            gc.collect()
-            t0 = time.perf_counter()
-            result = _run(
-                HEDGE_DEFAULT if hedging_on else None,
-                plan=None,
-                fast_health=False,
-            )
-            best[hedging_on] = min(best[hedging_on], time.perf_counter() - t0)
-            keys[hedging_on] = _record_key(result)
-            assert result.hedges_launched == 0
-        rep += 1
-    return best[False], best[True], keys[False], keys[True], rep
+
+def _idle_on():
+    result = _run(HEDGE_DEFAULT, plan=None, fast_health=False)
+    # With no gray fault the detector never classifies and the scanner
+    # never acts: simulated results are identical, not merely close.
+    assert result.hedges_launched == 0
+    return _record_key(result)
 
 
 @pytest.mark.fleet
 def test_hedging_idle_is_free(benchmark, results_dir):
-    # Warm both code paths before timing.
-    _run(None, plan=None, fast_health=False)
-    _run(HEDGE_DEFAULT, plan=None, fast_health=False)
-    off_s, on_s, off_key, on_key, reps = once(
-        benchmark, _paired_minima, TIME_BUDGET_S
-    )
-
-    # With no gray fault the detector never classifies and the scanner
-    # never acts: simulated results are identical, not merely close.
-    assert on_key == off_key
-
-    overhead_pct = (on_s - off_s) / off_s * 100.0
+    measured = once(benchmark, measure_overhead, _idle_off, _idle_on)
     rows = [
         {
             "config": f"{DEVICES}dev x {KERNELS}k dense, no faults",
-            "repeats": reps,
-            "hedging_off_s": off_s,
-            "hedging_on_s": on_s,
-            "overhead_pct": overhead_pct,
-            "results_identical": True,
+            **measured._asdict(),
         }
     ]
     print()
@@ -282,10 +244,10 @@ def test_hedging_idle_is_free(benchmark, results_dir):
     record_trajectory_point(
         TRAJECTORY_PATH,
         "bench_hedging",
-        {"idle_overhead_pct": overhead_pct},
+        {"idle_overhead_pct": measured.overhead_pct},
     )
 
-    assert overhead_pct < 2.0, (
-        f"idle hedging path cost {overhead_pct:.2f}% of wall time "
+    assert measured.overhead_pct < 2.0, (
+        f"idle hedging path cost {measured.overhead_pct:.2f}% of host time "
         "(budget: 2%)"
     )

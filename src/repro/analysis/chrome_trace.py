@@ -53,6 +53,26 @@ def _track_sort_key(track: str):
     ]
 
 
+def _process_metadata(pid: int, name: str) -> List[Dict[str, object]]:
+    """Name a process and pin its display position to its ``pid``."""
+    return [
+        {
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "name": "process_name",
+            "args": {"name": name},
+        },
+        {
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "name": "process_sort_index",
+            "args": {"sort_index": pid},
+        },
+    ]
+
+
 def to_chrome_trace(
     trace: TraceRecorder,
     process_name: str = "Simulated GPU",
@@ -69,24 +89,7 @@ def to_chrome_trace(
     # Metadata: name the process and each track-thread.  Explicit
     # process/thread sort indices pin the display order (GPU first, tracks
     # in natural order) regardless of event arrival order.
-    events.append(
-        {
-            "ph": "M",
-            "pid": GPU_PID,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": process_name},
-        }
-    )
-    events.append(
-        {
-            "ph": "M",
-            "pid": GPU_PID,
-            "tid": 0,
-            "name": "process_sort_index",
-            "args": {"sort_index": GPU_PID},
-        }
-    )
+    events.extend(_process_metadata(GPU_PID, process_name))
     for track, tid in tids.items():
         events.append(
             {
@@ -140,24 +143,7 @@ def to_chrome_trace(
         telemetry_pid = next(
             (int(e["pid"]) for e in counter_events if "pid" in e), GPU_PID + 1
         )
-        events.append(
-            {
-                "ph": "M",
-                "pid": telemetry_pid,
-                "tid": 0,
-                "name": "process_name",
-                "args": {"name": telemetry_process_name},
-            }
-        )
-        events.append(
-            {
-                "ph": "M",
-                "pid": telemetry_pid,
-                "tid": 0,
-                "name": "process_sort_index",
-                "args": {"sort_index": telemetry_pid},
-            }
-        )
+        events.extend(_process_metadata(telemetry_pid, telemetry_process_name))
         events.extend(dict(e) for e in counter_events)
 
     if span_events:
@@ -166,24 +152,7 @@ def to_chrome_trace(
         tracing_pid = next(
             (int(e["pid"]) for e in span_events if "pid" in e), GPU_PID + 2
         )
-        events.append(
-            {
-                "ph": "M",
-                "pid": tracing_pid,
-                "tid": 0,
-                "name": "process_name",
-                "args": {"name": tracing_process_name},
-            }
-        )
-        events.append(
-            {
-                "ph": "M",
-                "pid": tracing_pid,
-                "tid": 0,
-                "name": "process_sort_index",
-                "args": {"sort_index": tracing_pid},
-            }
-        )
+        events.extend(_process_metadata(tracing_pid, tracing_process_name))
         events.extend(dict(e) for e in span_events)
 
     return {

@@ -194,14 +194,24 @@ class FailoverCoordinator:
         return [(d.index, counts[d.index]) for d in self.registry.healthy()]
 
     def _storm_release(self, app_id: str, target: Optional[int]) -> None:
-        """Apply one paced migration (the queue's release callback).
-
-        Mirrors the immediate path's bookkeeping: assignment update,
-        recovery accounting, ``failover`` journal entry, waiter wake-up —
-        just at queue-drain time instead of detection time.
-        """
-        now = self.env.now
+        """Apply one paced migration (the queue's release callback): the
+        immediate path's :meth:`_migrate`, at queue-drain time instead of
+        detection time."""
         from_device, recovery = self._queued.pop(app_id, (None, None))
+        self._migrate(app_id, from_device, target, recovery)
+
+    def _migrate(
+        self,
+        app_id: str,
+        from_device: Optional[int],
+        target: Optional[int],
+        recovery: Optional[RecoveryEvent],
+    ) -> None:
+        """Move one app to ``target`` (``None``: fail it).
+
+        Updates the assignment, accounts the recovery, journals the
+        ``failover`` entry and wakes the parked driver.
+        """
         self.assignment[app_id] = target
         checkpoint = self.store.get(app_id)
         if recovery is not None:
@@ -217,7 +227,7 @@ class FailoverCoordinator:
                     "app": app_id,
                     "from": -1 if from_device is None else from_device,
                     "to": -1 if target is None else target,
-                    "t": now,
+                    "t": self.env.now,
                     "phase": (
                         checkpoint.phase_index if checkpoint is not None else 0
                     ),
@@ -298,34 +308,5 @@ class FailoverCoordinator:
             if assigned != index or self.status.get(app_id) == "done":
                 continue
             target = self._pick_device() if self.fleet.failover else None
-            self.assignment[app_id] = target
-            checkpoint = self.store.get(app_id)
-            if target is None:
-                recovery["failed_apps"].append(app_id)
-            else:
-                recovery["apps"].append(app_id)
-                self._pending_resume[app_id] = recovery
-            if self.journal is not None:
-                self.journal.record(
-                    {
-                        "event": "failover",
-                        "app": app_id,
-                        "from": index,
-                        "to": -1 if target is None else target,
-                        "t": now,
-                        "phase": (
-                            checkpoint.phase_index
-                            if checkpoint is not None
-                            else 0
-                        ),
-                        "kernels": (
-                            checkpoint.completed_kernels
-                            if checkpoint is not None
-                            else 0
-                        ),
-                    }
-                )
-            waiter = self._waiters.pop(app_id, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(target)
+            self._migrate(app_id, index, target, recovery)
         self.recoveries.append(recovery)

@@ -8,8 +8,9 @@ flag + board power, the same signals a real fleet scrapes from NVML/DCGM)
 and classifies it:
 
 * **healthy** — alive, no throttle window open, not a straggler;
-* **degraded** — alive but inside a planned ``DEVICE_THROTTLE`` window,
-  *or* classified a straggler by the attached
+* **degraded** — alive but inside a planned ``DEVICE_THROTTLE`` window
+  (asked of the device's own fault injector), *or* classified a
+  straggler by the attached
   :class:`~repro.resilience.gray.StragglerDetector` (graded health score
   under threshold) — the gray-failure path heartbeats alone can't see;
 * **lost** — heartbeats have been missing for at least
@@ -152,7 +153,10 @@ class HealthMonitor:
                         if self.on_lost is not None:
                             self.on_lost(device.index, now)
                     continue
-                throttled = device.throttled_at(now)
+                throttled = (
+                    device.injector is not None
+                    and device.injector.throttle_active(now)
+                )
                 straggling = (
                     self.detector is not None
                     and self.detector.is_straggler(device.index)

@@ -19,11 +19,11 @@ and nothing new is placed on it.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..framework.device_stack import DeviceStack
 from ..gpu.specs import DeviceSpec, tesla_k20
-from ..resilience.faults import GRAY_KINDS, FaultPlan
+from ..resilience.faults import FaultPlan
 from .config import FleetConfig
 from .topology import FleetTopology
 
@@ -71,24 +71,6 @@ class FleetDevice(DeviceStack):
         self.state = DeviceState.HEALTHY
         self.loss_time: Optional[float] = None
         self.detected_time: Optional[float] = None
-        #: Throttle windows from the plan, for health classification:
-        #: ``(start, end, factor)`` — known schedule, observed degradation.
-        self.throttle_windows: List[Tuple[float, float, float]] = [
-            (f.time, f.time + f.duration, f.factor)
-            for f in plan
-            if f.kind.value == "device_throttle"
-        ]
-        #: Gray-degradation windows from the plan (``(start, end,
-        #: factor)``).  Ground truth for tests and benchmarks only: the
-        #: health monitor deliberately does *not* read these — a gray
-        #: failure is exactly the degradation the plan knows about but
-        #: the heartbeat path cannot see, so classification must come
-        #: from the straggler detector's observed latency stretch.
-        self.gray_windows: List[Tuple[float, float, float]] = [
-            (f.time, f.time + f.duration, f.factor)
-            for f in plan
-            if f.kind in GRAY_KINDS
-        ]
 
     def __repr__(self) -> str:
         return f"<FleetDevice {self.index} {self.state.value}>"
@@ -106,10 +88,6 @@ class FleetDevice(DeviceStack):
             "alive": not self.lost,
             "power": 0.0 if self.lost else self.gpu.power.current_power,
         }
-
-    def throttled_at(self, now: float) -> bool:
-        """Whether a planned throttle window is open at ``now``."""
-        return any(t0 <= now < t1 for t0, t1, _ in self.throttle_windows)
 
     def energy_between(self, t0: float, t1: float) -> float:
         """Exact energy over ``[t0, t1]``, cut off at the loss instant."""

@@ -86,7 +86,7 @@ class HarnessConfig:
         standard sim/GPU/resilience probes and drives the sampler's
         lifecycle alongside the power monitor.  ``None`` (default) keeps
         every layer on the uninstrumented code paths — byte-identical
-        results, pinned by ``bench_telemetry_overhead.py``.
+        results, pinned by ``bench_observer_overhead.py``.
     """
 
     apps: Sequence[KernelApp]
@@ -109,11 +109,11 @@ class HarnessConfig:
     #: Optional repro.telemetry.Tracing (untyped, same convention as
     #: telemetry): one causal trace per app with engine-level wait spans.
     #: ``None`` keeps every layer untraced — byte-identical results,
-    #: pinned by ``bench_tracing_overhead.py``.
+    #: pinned by ``bench_observer_overhead.py``.
     tracing: object = None
     #: Runtime invariant checking (see :mod:`repro.integrity.invariants`):
     #: ``None``/``False`` = off (byte-identical results, pinned by
-    #: ``bench_integrity_overhead.py``); ``True`` = strided probes with
+    #: ``bench_observer_overhead.py``); ``True`` = strided probes with
     #: defaults; or a preconfigured ``InvariantChecker`` instance.
     integrity: object = None
 

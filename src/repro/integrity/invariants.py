@@ -35,8 +35,8 @@ The invariant catalog (see ``docs/integrity.md``):
     Figures 9–10 power-state model.
 
 Checks run every ``stride`` events (default 256): dense enough to pin a
-violation near its cause, sparse enough that
-``benchmarks/bench_integrity_overhead.py`` holds the cost under 2%.
+violation near its cause, sparse enough that the ``integrity`` case of
+``benchmarks/bench_observer_overhead.py`` holds the cost under 2%.
 """
 
 from __future__ import annotations

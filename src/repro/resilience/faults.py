@@ -280,14 +280,6 @@ class FaultPlan:
             f.time for f in self.faults if f.kind is FaultKind.HARNESS_CRASH
         ]
 
-    def device_faults(self) -> List[FaultSpec]:
-        """Every fleet-level fault (DEVICE_LOSS / DEVICE_THROTTLE)."""
-        return [
-            f
-            for f in self.faults
-            if f.kind in (FaultKind.DEVICE_LOSS, FaultKind.DEVICE_THROTTLE)
-        ]
-
     def loss_specs(self) -> List[FaultSpec]:
         """Planned device losses, earliest first."""
         return [f for f in self.faults if f.kind is FaultKind.DEVICE_LOSS]
@@ -808,8 +800,10 @@ class FaultInjector:
     def throttle_active(self, now: float) -> bool:
         """Whether any DEVICE_THROTTLE window is open at ``now``.
 
-        A read-only probe for health classification: does *not* record
-        the window as applied (only a slowed-down submission does).
+        A read-only probe for the fleet health monitor's classification.
+        It arms due specs, as every consumer does before it reads, but
+        does *not* record the window as applied (only a slowed-down
+        submission does).
         """
         return bool(self._open(FaultKind.DEVICE_THROTTLE, now))
 

@@ -10,8 +10,8 @@ the registered *probes* — zero-argument callables that pull live state
 
 Determinism: snapshots are keyed to ``env.now`` only; no wall clock ever
 enters a sample.  Probes must read simulation state, never mutate it, so
-enabling telemetry cannot perturb results (pinned by
-``benchmarks/bench_telemetry_overhead.py``).
+enabling telemetry cannot perturb results (pinned by the ``telemetry``
+case of ``benchmarks/bench_observer_overhead.py``).
 """
 
 from __future__ import annotations

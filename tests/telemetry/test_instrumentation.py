@@ -5,8 +5,8 @@ Two halves, mirroring the ISSUE acceptance criteria:
 * **Zero cost disabled** — every layer entry point with a ``telemetry``
   parameter must produce *identical* results with ``telemetry=None`` and
   with a live :class:`~repro.telemetry.Telemetry` (probes read, never
-  mutate).  The wall-clock half of that bargain (<2% overhead) lives in
-  ``benchmarks/bench_telemetry_overhead.py``.
+  mutate).  The host-time half of that bargain (<2% overhead) lives in
+  ``benchmarks/bench_observer_overhead.py``.
 * **Metric correctness** — exported final counter values must equal the
   ground truth the result objects already report (transfers, outcomes,
   recoveries), not merely move in the right direction.
