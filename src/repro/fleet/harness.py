@@ -31,7 +31,7 @@ from ..framework.metrics import AppRecord, makespan
 from ..gpu.specs import DeviceSpec
 from ..integrity.record import fingerprint
 from ..resilience.budget import RetryBudget, unfinishable
-from ..resilience.degradation import ConcurrencyLimiter
+from ..resilience.degradation import ConcurrencyLadder
 from ..resilience.faults import FaultPlan
 from ..resilience.metastable import MetastabilityProbe
 from ..resilience.retry import app_rng
@@ -154,12 +154,6 @@ class FleetResult:
     def reexecuted_kernels(self) -> int:
         """Total kernels re-run because they were in flight at a loss."""
         return sum(r.reexecuted_kernels for r in self.records)
-
-    def duplicate_ratio(self, total_kernels: int) -> float:
-        """Duplicated kernels as a fraction of ``total_kernels``."""
-        if total_kernels <= 0:
-            return 0.0
-        return self.duplicate_kernels / total_kernels
 
     @property
     def devices_lost(self) -> int:
@@ -396,6 +390,23 @@ class FleetHarness:
         if fleet.retry_budget is not None:
             budget = RetryBudget(fleet.retry_budget, lambda: env.now)
 
+        # Brownout: the concurrency ladder (one width gate per device)
+        # and its goodput trigger, built only when configured.  It comes
+        # before the hedge manager, which reads its level.
+        ladder: Optional[ConcurrencyLadder] = None
+        probe: Optional[MetastabilityProbe] = None
+        if fleet.brownout is not None:
+            bcfg = fleet.brownout
+            narrow = max(1, int(self.num_streams * bcfg.width_factor))
+            ladder = ConcurrencyLadder(
+                env, (self.num_streams,) + (narrow,) * bcfg.max_level,
+                devices=len(registry),
+            )
+            probe = MetastabilityProbe(
+                env, bcfg, lambda: len(registry.healthy()), ladder,
+                journal=fenced,
+            )
+
         # Gray-failure mitigation is built only when configured: with
         # ``hedging=None`` no detector exists, no observation callbacks
         # fire, no scan process runs — results stay byte-identical.
@@ -425,44 +436,7 @@ class FleetHarness:
                 journal=fenced,
                 fence=fence,
                 budget=budget,
-            )
-
-        # Metastability probe + brownout ladder: built only when
-        # configured, like hedging — otherwise no process, no gates,
-        # byte-identical results.
-        probe: Optional[MetastabilityProbe] = None
-        width_gates: Optional[Dict[int, ConcurrencyLimiter]] = None
-        if fleet.brownout is not None:
-            width_gates = {
-                d.index: ConcurrencyLimiter(
-                    env, self.num_streams, name=f"width-dev{d.index}"
-                )
-                for d in registry
-            }
-
-            def on_brownout(level: int, old: int) -> None:
-                # Level >= 1: narrow per-device admission width so running
-                # attempts stop time-sharing with the recovery backlog,
-                # and stand the hedge scanner down (speculative duplicates
-                # are the last thing an overloaded fleet needs).
-                if level >= 1:
-                    width = max(
-                        1,
-                        int(self.num_streams * fleet.brownout.width_factor),
-                    )
-                else:
-                    width = self.num_streams
-                for gate in width_gates.values():
-                    gate.set_limit(width)
-                if hedges is not None:
-                    hedges.suspended = level >= 1
-
-            probe = MetastabilityProbe(
-                env,
-                fleet.brownout,
-                lambda: len(registry.healthy()),
-                journal=fenced,
-                on_level=on_brownout,
+                ladder=ladder,
             )
 
         monitor = HealthMonitor(
@@ -641,11 +615,9 @@ class FleetHarness:
                 bind(thread, fdev)
                 attempts += 1
                 record.attempts = attempts
-                gate = (
-                    width_gates.get(fdev.index)
-                    if width_gates is not None
-                    else None
-                )
+                # Level >= 1 brownouts narrow per-device admission width
+                # so running attempts stop time-sharing with the backlog.
+                gate = ladder.gates[fdev.index] if ladder else None
                 holding = False
                 try:
                     if gate is not None:

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..sim.process import Poller
 from .registry import DeviceRegistry, DeviceState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,7 +52,7 @@ class HealthEvent:
     detail: str = ""
 
 
-class HealthMonitor:
+class HealthMonitor(Poller):
     """Polls device heartbeats and declares losses after a seeded delay."""
 
     def __init__(
@@ -68,9 +69,8 @@ class HealthMonitor:
     ) -> None:
         if interval <= 0:
             raise ValueError("heartbeat interval must be positive")
-        self.env = env
+        super().__init__(env, interval, "fleet-health-monitor")
         self.registry = registry
-        self.interval = interval
         self.on_lost = on_lost
         #: Optional straggler detector; when attached, its graded score
         #: feeds the degraded/healthy classification alongside the
@@ -96,20 +96,6 @@ class HealthMonitor:
         self._observed: Dict[int, DeviceState] = {
             d.index: DeviceState.HEALTHY for d in registry
         }
-        self._running = False
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        """Begin polling (idempotent)."""
-        if self._running:
-            return
-        self._running = True
-        self.env.process(self._poll_loop(), name="fleet-health-monitor")
-
-    def stop(self) -> None:
-        """Stop polling after the next tick."""
-        self._running = False
 
     def observed_state(self, index: int) -> DeviceState:
         """The monitor's current belief about one device."""
@@ -123,62 +109,57 @@ class HealthMonitor:
 
     # -- polling -----------------------------------------------------------
 
-    def _poll_loop(self):
-        while self._running:
-            yield self.env.timeout(self.interval)
-            if not self._running:
-                return
-            now = self.env.now
-            for device in self.registry:
-                seen = self._observed[device.index]
-                if seen is DeviceState.LOST:
-                    continue  # terminal; nothing more to observe
-                beat = device.heartbeat(now)
-                self.heartbeats_read += 1
-                if not beat["alive"]:
-                    self.missed_heartbeats[device.index] = (
-                        self.missed_heartbeats.get(device.index, 0) + 1
+    def tick(self) -> None:
+        """Read every device's heartbeat once and reclassify it."""
+        now = self.env.now
+        for device in self.registry:
+            seen = self._observed[device.index]
+            if seen is DeviceState.LOST:
+                continue  # terminal; nothing more to observe
+            beat = device.heartbeat(now)
+            self.heartbeats_read += 1
+            if not beat["alive"]:
+                self.missed_heartbeats[device.index] = (
+                    self.missed_heartbeats.get(device.index, 0) + 1
+                )
+                deadline = device.loss_time + self.detect_delay[device.index]
+                if now >= deadline:
+                    self._transition(
+                        device.index,
+                        seen,
+                        DeviceState.LOST,
+                        f"no heartbeat since t={device.loss_time:.6g}s",
                     )
-                    deadline = (
-                        device.loss_time + self.detect_delay[device.index]
+                    device.detected_time = now
+                    if self.on_lost is not None:
+                        self.on_lost(device.index, now)
+                continue
+            throttled = (
+                device.injector is not None
+                and device.injector.throttle_active(now)
+            )
+            straggling = (
+                self.detector is not None
+                and self.detector.is_straggler(device.index)
+            )
+            wanted = (
+                DeviceState.DEGRADED
+                if throttled or straggling
+                else DeviceState.HEALTHY
+            )
+            if wanted is not seen:
+                if wanted is DeviceState.DEGRADED:
+                    detail = (
+                        "throttle window"
+                        if throttled
+                        else self.detector.score(device.index).describe()
                     )
-                    if now >= deadline:
-                        self._transition(
-                            device.index,
-                            seen,
-                            DeviceState.LOST,
-                            f"no heartbeat since t={device.loss_time:.6g}s",
-                        )
-                        device.detected_time = now
-                        if self.on_lost is not None:
-                            self.on_lost(device.index, now)
-                    continue
-                throttled = (
-                    device.injector is not None
-                    and device.injector.throttle_active(now)
-                )
-                straggling = (
-                    self.detector is not None
-                    and self.detector.is_straggler(device.index)
-                )
-                wanted = (
-                    DeviceState.DEGRADED
-                    if throttled or straggling
-                    else DeviceState.HEALTHY
-                )
-                if wanted is not seen:
-                    if wanted is DeviceState.DEGRADED:
-                        detail = (
-                            "throttle window"
-                            if throttled
-                            else self.detector.score(device.index).describe()
-                        )
-                    else:
-                        detail = "degradation cleared"
-                    self._transition(device.index, seen, wanted, detail)
-                    # Observed degradation is also the registry's public
-                    # state (the registry owns only the lost/alive truth).
-                    device.state = wanted
+                else:
+                    detail = "degradation cleared"
+                self._transition(device.index, seen, wanted, detail)
+                # Observed degradation is also the registry's public
+                # state (the registry owns only the lost/alive truth).
+                device.state = wanted
 
     def _transition(
         self, index: int, old: DeviceState, new: DeviceState, detail: str

@@ -45,10 +45,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from ..framework.metrics import AppRecord
 from ..resilience.retry import RetryPolicy, replica_rng
 from ..sim.errors import DeviceLost, FaultError, Interrupt
+from ..sim.process import Poller
 from .checkpoint import AppCheckpoint
 from .thread import FleetAppThread
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..resilience.degradation import ConcurrencyLadder
     from ..resilience.gray import StragglerDetector
     from ..sim.engine import Environment
     from .checkpoint import CheckpointStore
@@ -123,7 +125,7 @@ class Hedge:
     duplicates: int = 0       # realized duplicate kernels at settlement
 
 
-class HedgeManager:
+class HedgeManager(Poller):
     """Scans for straggler-placed apps and races replicas against them."""
 
     def __init__(
@@ -139,10 +141,11 @@ class HedgeManager:
         journal=None,
         fence=None,
         budget=None,
+        ladder: Optional["ConcurrencyLadder"] = None,
     ) -> None:
         if fleet.hedging is None:
             raise ValueError("fleet config has no hedging section")
-        self.env = env
+        super().__init__(env, fleet.hedging.check_interval, "hedge-manager")
         self.registry = registry
         self.coordinator = coordinator
         self.store = store
@@ -173,38 +176,24 @@ class HedgeManager:
         #: Shared per-class retry budget
         #: (:class:`~repro.resilience.budget.RetryBudget`) or ``None``.
         #: A hedge is duplicate work exactly like a retry, so launches
-        #: spend from the same bucket supervisor retries do.
+        #: spend from the same bucket fault retries do.
         self.retry_budget = budget
         #: Candidates skipped because the shared retry budget was empty.
         self.retry_budget_denials = 0
-        #: Brownout suspension: at ladder level >= 1 the probe stands the
-        #: scanner down — speculative duplicates are the last thing an
-        #: overloaded fleet needs.
-        self.suspended = False
+        #: The brownout's concurrency ladder or ``None``: at level >= 1
+        #: the scan stands down — speculative duplicates are the last
+        #: thing an overloaded fleet needs.
+        self.ladder = ladder
         self._hedges_per_app: Dict[str, int] = {}
         #: Worst-case duplicated kernels committed so far: realized
         #: duplicates of settled hedges + full remaining work of active
         #: ones (an active replica may duplicate everything it re-runs).
         self._committed = 0
-        self._running = False
         # Chain the registry's ground-truth loss hook so replicas on a
         # lost device are interrupted exactly like primaries are.  The
         # coordinator installed its own hook first (construction order).
         self._chained_down = registry.on_down
         registry.on_down = self._device_down
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        """Begin the periodic straggler scan (idempotent)."""
-        if self._running:
-            return
-        self._running = True
-        self.env.process(self._poll_loop(), name="hedge-manager")
-
-    def stop(self) -> None:
-        """Stop scanning after the next tick."""
-        self._running = False
 
     @property
     def budget_kernels(self) -> int:
@@ -213,15 +202,9 @@ class HedgeManager:
 
     # -- the scan ----------------------------------------------------------
 
-    def _poll_loop(self):
-        while self._running:
-            yield self.env.timeout(self.config.check_interval)
-            if not self._running:
-                return
-            self._scan()
-
-    def _scan(self) -> None:
-        if self.suspended:
+    def tick(self) -> None:
+        """One straggler scan, unless a brownout stands hedging down."""
+        if self.ladder is not None and self.ladder.level >= 1:
             return
         now = self.env.now
         # Launch order (dict insertion order) keeps the scan deterministic.

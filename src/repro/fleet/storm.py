@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..sim.process import Poller
 from .config import StormControlConfig
 
 __all__ = ["MigrationQueue"]
@@ -59,7 +60,7 @@ class _Entry:
         return (deadline, self.kernels, self.app_id)
 
 
-class MigrationQueue:
+class MigrationQueue(Poller):
     """Capacity-aware, deadline-prioritised failover pacing.
 
     Parameters
@@ -89,7 +90,7 @@ class MigrationQueue:
         release: Callable[[str, Optional[int]], None],
         journal=None,
     ) -> None:
-        self.env = env
+        super().__init__(env, config.pace_interval, "migration-pacer")
         self.config = config
         self.candidates = candidates
         self.release = release
@@ -105,7 +106,6 @@ class MigrationQueue:
         self.peak_depth = 0
         #: Sum of simulated seconds spent queued (for mean-wait stats).
         self.total_wait = 0.0
-        self._running = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -113,25 +113,9 @@ class MigrationQueue:
             f"released={self.released_total}>"
         )
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        """Begin the pacer (idempotent)."""
-        if self._running:
-            return
-        self._running = True
-        self.env.process(self._pace_loop(), name="migration-pacer")
-
-    def stop(self) -> None:
-        """Stop pacing after the next tick."""
-        self._running = False
-
-    def _pace_loop(self):
-        while self._running:
-            yield self.env.timeout(self.config.pace_interval)
-            if not self._running:
-                return
-            self.drain()
+    def tick(self) -> None:
+        """Pacer tick: refill freed recovery slots."""
+        self.drain()
 
     @property
     def depth(self) -> int:

@@ -25,8 +25,7 @@ import numpy as np
 from ..gpu.specs import DeviceSpec, tesla_k20
 from ..resilience import (
     AppSupervisor,
-    ConcurrencyLimiter,
-    DegradationController,
+    ConcurrencyLadder,
     FaultInjector,
     ResilienceConfig,
     ResilienceSummary,
@@ -222,8 +221,8 @@ class TestHarness:
         monitor = stack.monitor
         injector = stack.injector
         watchdog: Optional[Watchdog] = None
-        limiter: Optional[ConcurrencyLimiter] = None
-        controller: Optional[DegradationController] = None
+        ladder: Optional[ConcurrencyLadder] = None
+        on_fault = None
         if resil is not None:
             if injector is None:
                 # No faults to inject, but supervisors still trace-mark
@@ -232,10 +231,15 @@ class TestHarness:
             if resil.wants_deadlines:
                 watchdog = Watchdog(env)
             if resil.degradation_threshold > 0:
-                limiter = ConcurrencyLimiter(env, cfg.num_streams)
-                controller = DegradationController(
-                    limiter, resil.degradation_threshold, injector
-                )
+                # The ladder's fault trigger: halve NS every N faults.
+                ladder = ConcurrencyLadder.halving(env, cfg.num_streams)
+                faults = 0
+
+                def on_fault() -> None:
+                    nonlocal faults
+                    faults += 1
+                    if ladder.step_to(faults // resil.degradation_threshold):
+                        injector.mark_degrade(faults, ladder.limit)
         records: List[AppRecord] = []
         rng = np.random.default_rng(cfg.seed)
 
@@ -336,12 +340,12 @@ class TestHarness:
                     supervisor = AppSupervisor(
                         env,
                         thread,
+                        injector=injector,
                         policy=resil.retry,
                         watchdog=watchdog,
                         deadline=resil.deadline_for(thread.app.profile.name),
-                        limiter=limiter,
-                        controller=controller,
-                        injector=injector,
+                        gate=ladder.gates[0] if ladder else None,
+                        on_fault=on_fault,
                         seed=resil.seed,
                     )
                     children.append(
@@ -405,11 +409,9 @@ class TestHarness:
                 deadline_hits=sum(r.deadline_hits for r in records),
                 apps_failed=sum(1 for r in records if r.failed),
                 apps_completed=sum(1 for r in records if not r.failed),
-                degradation_steps=(
-                    controller.step_count if controller is not None else 0
-                ),
+                degradation_steps=len(ladder.steps) if ladder else 0,
                 final_concurrency_limit=(
-                    limiter.limit if limiter is not None else cfg.num_streams
+                    ladder.limit if ladder else cfg.num_streams
                 ),
             )
         return HarnessResult(

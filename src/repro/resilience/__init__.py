@@ -14,8 +14,9 @@ survive it:
 * per-application **retry with exponential backoff**
   (:mod:`~repro.resilience.retry`), seed-jittered and reproducible;
 * **graceful concurrency degradation**
-  (:mod:`~repro.resilience.degradation`): a fault-density ladder that
-  steps NS down toward the paper's serialized baseline;
+  (:mod:`~repro.resilience.degradation`): one concurrency ladder that
+  steps NS down toward the paper's serialized baseline, moved by fault
+  density here and by goodput collapse in the fleet;
 * supervision (:mod:`~repro.resilience.supervisor`) and configuration /
   accounting (:mod:`~repro.resilience.config`) gluing it together.
 
@@ -26,7 +27,7 @@ results.  See ``docs/resilience.md`` for the full model.
 
 from .budget import RetryBudget, RetryBudgetConfig, unfinishable
 from .config import ResilienceConfig, ResilienceSummary
-from .degradation import ConcurrencyLimiter, DegradationController, ladder_limit
+from .degradation import ConcurrencyLadder, ConcurrencyLimiter
 from .faults import (
     CORRELATED_KINDS,
     GRAY_KINDS,
@@ -63,8 +64,7 @@ __all__ = [
     "Watchdog",
     "WatchdogGuard",
     "ConcurrencyLimiter",
-    "DegradationController",
-    "ladder_limit",
+    "ConcurrencyLadder",
     "AppSupervisor",
     "ResilienceConfig",
     "ResilienceSummary",

@@ -10,9 +10,8 @@ collapse — the retries *are* the overload.
 
 :class:`RetryBudget` is the shared brake.  One bucket per work class
 (application type) refills at ``rate`` tokens per simulated second up to
-``burst``; every retry-shaped decision — a supervisor retry, a fleet
-fault retry, a deadline re-run, a hedge launch — must ``try_spend`` a
-token first.  An empty bucket denies the retry, so system-wide duplicate
+``burst``; every retry-shaped decision of the fleet — a fault retry, a
+deadline re-run, a hedge launch — must ``try_spend`` a token first.  An empty bucket denies the retry, so system-wide duplicate
 work is capped at roughly ``rate`` per class no matter how many apps are
 failing, and the deny is *accounted* (``denied`` per class) so telemetry
 counters stay truthful under exhaustion.

@@ -1,53 +1,41 @@
-"""Graceful concurrency degradation under sustained faults.
+"""Graceful concurrency degradation: one ladder, two triggers.
 
 The paper's central knob is NS — how many concurrent streams feed the
 device.  High NS is where Hyper-Q pays off, but it is also where faults
 compound: a hung grid ties up SMX resources every co-running application
 wants, and retries pile more work onto an already-struggling device.  The
-degradation ladder responds the way a production serving stack would:
-when the observed fault count crosses a threshold, halve the effective
-concurrency, stepping down toward fully serialized execution (the NS=1
-baseline, which the paper shows is the *safe* — if slow — operating
-point).
+concurrency ladder responds the way a production serving stack would: it
+steps the admitted concurrency down toward fully serialized execution
+(the NS=1 baseline, which the paper shows is the *safe* — if slow —
+operating point), and back up when told to.
 
 Two pieces:
 
 :class:`ConcurrencyLimiter`
-    A FIFO admission gate the supervisors acquire before starting an
-    attempt.  Unlike :class:`~repro.sim.resources.Resource` its capacity
-    can be lowered on the fly; excess holders drain naturally (no
-    revocation — running attempts finish, new ones wait).
-:class:`DegradationController`
-    Glue: counts faults, consults the ladder, lowers the limiter, and
-    records every step for the resilience summary.
+    A FIFO admission gate acquired before starting an attempt.  Unlike
+    :class:`~repro.sim.resources.Resource` its capacity can be lowered on
+    the fly; excess holders drain naturally (no revocation — running
+    attempts finish, new ones wait).
+:class:`ConcurrencyLadder`
+    A tuple of limits, one per level, applied to one limiter per device.
+    Two triggers move it, and each records its own steps: the harness's
+    fault count (every ``degradation_threshold`` faults halve NS, one
+    ``degrade`` trace mark per step) and the fleet's
+    :class:`~repro.resilience.metastable.MetastabilityProbe` goodput
+    windows (one ``brownout`` journal entry per step).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, List, Sequence, Tuple
 
 from ..sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.engine import Environment
-    from .faults import FaultInjector
 
-__all__ = ["ConcurrencyLimiter", "DegradationController", "ladder_limit"]
-
-
-def ladder_limit(initial: int, faults: int, threshold: int) -> int:
-    """Concurrency limit after ``faults`` observed faults.
-
-    Every ``threshold`` faults halves the limit (floor 1): with
-    ``initial=8, threshold=2`` the ladder is 8, 8, 4, 4, 2, 2, 1 ... —
-    a geometric descent toward serialized execution.  ``threshold <= 0``
-    disables degradation entirely.
-    """
-    if threshold <= 0:
-        return max(1, initial)
-    steps = faults // threshold
-    return max(1, initial >> steps) if steps < initial.bit_length() else 1
+__all__ = ["ConcurrencyLimiter", "ConcurrencyLadder"]
 
 
 class ConcurrencyLimiter:
@@ -130,55 +118,51 @@ class ConcurrencyLimiter:
             gate.succeed()
 
 
-class DegradationController:
-    """Maps observed fault density onto the concurrency ladder.
+class ConcurrencyLadder:
+    """Step-down ladder of admission limits over one gate per device.
 
-    Parameters
-    ----------
-    limiter:
-        The admission gate to throttle.
-    threshold:
-        Faults per halving step; ``0`` disables degradation.
-    injector:
-        Optional fault injector whose trace gets a ``degrade`` mark at
-        every step.
+    ``limits`` holds each level's admission limit (every one >= 1),
+    level 0 — the undegraded width — first.  :attr:`gates` holds one
+    :class:`ConcurrencyLimiter` per device, ``devices`` of them, all at
+    the current level's limit.  Building the ladder schedules no event.
     """
 
     def __init__(
-        self,
-        limiter: ConcurrencyLimiter,
-        threshold: int = 0,
-        injector: Optional["FaultInjector"] = None,
+        self, env: "Environment", limits: Sequence[int], devices: int = 1
     ) -> None:
-        self.limiter = limiter
-        self.threshold = int(threshold)
-        self.injector = injector
-        self.initial_limit = limiter.limit
-        self.fault_count = 0
-        #: ``(time, fault_count, new_limit)`` per step taken.
+        self.limits: Tuple[int, ...] = tuple(int(x) for x in limits)
+        if not self.limits or min(self.limits) < 1:
+            raise ValueError(f"limits must be >= 1, got {self.limits}")
+        self.env = env
+        self.level = 0
+        self.gates = [
+            ConcurrencyLimiter(env, self.limits[0], name=f"ns-gate{i}")
+            for i in range(devices)
+        ]
+        #: ``(time, level, limit)`` per step taken.
         self.steps: List[Tuple[float, int, int]] = []
 
-    def note_fault(self) -> None:
-        """Record one detected fault; degrade if the ladder says so."""
-        self.fault_count += 1
-        if self.threshold <= 0:
-            return
-        target = ladder_limit(self.initial_limit, self.fault_count, self.threshold)
-        if target < self.limiter.limit:
-            self.limiter.set_limit(target)
-            now = self.limiter.env.now
-            self.steps.append((now, self.fault_count, target))
-            if self.injector is not None:
-                self.injector.trace.mark(
-                    track="resilience",
-                    category="degrade",
-                    name=f"NS->{target}",
-                    time=now,
-                    faults=self.fault_count,
-                    limit=target,
-                )
+    @classmethod
+    def halving(cls, env: "Environment", width: int) -> "ConcurrencyLadder":
+        """One-gate ladder halving ``width`` down to 1: 8 gives 8, 4, 2, 1."""
+        return cls(env, [width >> k for k in range(width.bit_length())])
 
     @property
-    def step_count(self) -> int:
-        """Number of degradation steps taken."""
-        return len(self.steps)
+    def limit(self) -> int:
+        """Admission limit of the current level."""
+        return self.limits[self.level]
+
+    def step_to(self, level: int) -> bool:
+        """Move to ``level`` (clamped to the ladder); whether it moved.
+
+        A move sets every gate's limit and appends to :attr:`steps`.
+        """
+        level = max(0, min(level, len(self.limits) - 1))
+        if level == self.level:
+            return False
+        self.level = level
+        limit = self.limits[level]
+        for gate in self.gates:
+            gate.set_limit(limit)
+        self.steps.append((self.env.now, level, limit))
+        return True

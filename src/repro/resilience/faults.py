@@ -909,3 +909,14 @@ class FaultInjector:
             app=app_id,
             deadline=deadline,
         )
+
+    def mark_degrade(self, faults: int, limit: int) -> None:
+        """Trace-mark a fault-triggered concurrency step-down."""
+        self.trace.mark(
+            track=RESILIENCE_TRACK,
+            category="degrade",
+            name=f"NS->{limit}",
+            time=self.env.now,
+            faults=faults,
+            limit=limit,
+        )

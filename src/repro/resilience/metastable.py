@@ -11,29 +11,36 @@ self-sustaining.
 signals: callers feed it *useful* progress (kernel completions of work
 that can still meet its deadline) and it compares each detection window's
 goodput against the fleet's current healthy capacity.  Sustained
-goodput-below-floor trips the **brownout ladder**:
+goodput-below-floor is the second trigger of the
+:class:`~repro.resilience.degradation.ConcurrencyLadder` (the first is
+the harness's fault count); the fleet builds the ladder with one gate
+per device, and its levels are the **brownout** levels:
 
 * level 1 — degrade stream width: per-device admission narrows so the
   attempts already running stop time-sharing with the backlog, finish,
-  and count as goodput again (the hedge manager also stands down);
+  and count as goodput again (the hedge manager, which reads the same
+  ladder, also stands down);
 * level 2 — shed low-priority classes: configured app types are dropped
   at their next admission point instead of queued.
 
 Recovery is symmetric: ``recover_windows`` consecutive healthy windows
-step the ladder back down.  Every transition is journaled (through the
-run's fenced journal when one is attached) and mirrored into an events
-list, in the same style as every prior decision-making subsystem; with
-``BrownoutConfig`` absent the probe is never constructed and results are
-byte-identical.
+step the ladder back down.  The probe journals every step it takes
+(through the run's fenced journal when one is attached) and mirrors it
+into an events list, in the same style as every prior decision-making
+subsystem; with ``BrownoutConfig`` absent neither the probe nor the
+ladder is constructed and results are byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Tuple
+
+from ..sim.process import Poller
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.engine import Environment
+    from .degradation import ConcurrencyLadder
 
 __all__ = ["BrownoutConfig", "MetastabilityProbe"]
 
@@ -57,7 +64,8 @@ class BrownoutConfig:
     recover_windows:
         Consecutive healthy windows that step the ladder one level down.
     max_level:
-        Ladder ceiling (2 = width degrade + load shed).
+        Ladder ceiling (2 = width degrade + load shed): the fleet's
+        ladder has ``max_level + 1`` levels.
     width_factor:
         Stream-width multiplier applied per device at level >= 1
         (``0.5`` halves per-device admission width).
@@ -98,26 +106,27 @@ class BrownoutConfig:
         )
 
 
-class MetastabilityProbe:
-    """Windowed goodput-vs-capacity watcher driving the brownout ladder.
+class MetastabilityProbe(Poller):
+    """Windowed goodput-vs-capacity watcher: the ladder's goodput trigger.
 
     Parameters
     ----------
     env:
         Simulation environment (the probe owns one periodic process).
     config:
-        :class:`BrownoutConfig` thresholds and ladder shape.
+        :class:`BrownoutConfig` thresholds.
     healthy_devices:
         Zero-argument callable returning the current healthy device
         count (capacity shrinks with the fleet, so a domain loss does
         not by itself read as a goodput collapse).
+    ladder:
+        The :class:`~repro.resilience.degradation.ConcurrencyLadder` the
+        probe steps one level up per tripped window run and one level
+        down per recovered one; its top level is the brownout ceiling.
     journal:
-        Optional fenced journal; every ladder transition is recorded
-        tokenless (a brownout decision is legitimate in any generation).
-    on_level:
-        Optional callback invoked as ``on_level(new_level, old_level)``
-        at every transition — the harness uses it to resize per-device
-        width gates.
+        Optional fenced journal; every ladder step the probe takes is
+        recorded tokenless (a brownout decision is legitimate in any
+        generation).
     """
 
     def __init__(
@@ -125,16 +134,15 @@ class MetastabilityProbe:
         env: "Environment",
         config: BrownoutConfig,
         healthy_devices: Callable[[], int],
+        ladder: "ConcurrencyLadder",
         *,
         journal=None,
-        on_level: Optional[Callable[[int, int], None]] = None,
     ) -> None:
-        self.env = env
+        super().__init__(env, config.window, "metastability-probe")
         self.config = config
         self.healthy_devices = healthy_devices
+        self.ladder = ladder
         self.journal = journal
-        self.on_level = on_level
-        self.level = 0
         #: Windows spent metastable (below floor *past* the trip budget).
         self.metastable_windows = 0
         #: Admissions shed because of a level-2 brownout.
@@ -147,7 +155,6 @@ class MetastabilityProbe:
         self._progress = 0.0
         self._below = 0
         self._above = 0
-        self._running = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -155,25 +162,10 @@ class MetastabilityProbe:
             f"windows={len(self.windows)}>"
         )
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        """Begin the periodic window evaluation (idempotent)."""
-        if self._running:
-            return
-        self._running = True
-        self.env.process(self._poll_loop(), name="metastability-probe")
-
-    def stop(self) -> None:
-        """Stop evaluating after the next window boundary."""
-        self._running = False
-
-    def _poll_loop(self):
-        while self._running:
-            yield self.env.timeout(self.config.window)
-            if not self._running:
-                return
-            self._close_window()
+    @property
+    def level(self) -> int:
+        """Current brownout level: the ladder's level."""
+        return self.ladder.level
 
     # -- signal feed -------------------------------------------------------
 
@@ -196,14 +188,10 @@ class MetastabilityProbe:
         self.sheds += 1
         return True
 
-    @property
-    def brownout_active(self) -> bool:
-        """Whether any ladder level is currently engaged."""
-        return self.level > 0
-
     # -- the window evaluation ---------------------------------------------
 
-    def _close_window(self) -> None:
+    def tick(self) -> None:
+        """Close one detection window and step the ladder if warranted."""
         cfg = self.config
         now = self.env.now
         goodput = self._progress / cfg.window
@@ -228,22 +216,19 @@ class MetastabilityProbe:
                 "level": self.level,
             }
         )
-        if (
-            below
-            and self._below >= cfg.trip_windows
-            and self.level < cfg.max_level
-        ):
-            self._transition(self.level + 1, ratio, now)
-            self._below = 0
-        elif (
-            not below and self._above >= cfg.recover_windows and self.level > 0
-        ):
-            self._transition(self.level - 1, ratio, now)
-            self._above = 0
-
-    def _transition(self, level: int, ratio: float, now: float) -> None:
         old = self.level
-        self.level = level
+        if below and self._below >= cfg.trip_windows:
+            level = old + 1
+        elif not below and self._above >= cfg.recover_windows:
+            level = old - 1
+        else:
+            return
+        # A streak resets only when the ladder moves: at the top level
+        # step_to refuses, so a collapse the ladder cannot cure keeps
+        # counting metastable windows.
+        if not self.ladder.step_to(level):
+            return
+        self._below = self._above = 0
         entry = {
             "event": "brownout",
             "level": level,
@@ -256,5 +241,3 @@ class MetastabilityProbe:
             # Tokenless on purpose: a ladder decision is legitimate no
             # matter which device generations advanced around it.
             self.journal.record(entry)
-        if self.on_level is not None:
-            self.on_level(level, old)

@@ -5,17 +5,17 @@ loop.  Where the plain harness spawns ``env.process(thread.run())``
 directly, the resilient harness spawns ``env.process(supervisor.run())``
 instead, and the supervisor:
 
-1. acquires an admission slot from the :class:`ConcurrencyLimiter` (the
-   degradation ladder's gate),
+1. acquires an admission slot from its gate (one of the
+   :class:`~repro.resilience.degradation.ConcurrencyLadder`'s limiters),
 2. starts the attempt as a child process and arms a watchdog deadline
    over it,
 3. on success disarms the guard, releases the slot and returns;
 4. on a detected fault (:class:`~repro.sim.errors.FaultError` raised by
    the attempt, or an :class:`~repro.sim.errors.Interrupt` carrying
    :class:`~repro.sim.errors.DeadlineExceeded` from the watchdog)
-   records the detection, notifies the degradation controller, and —
-   budget permitting — resets the thread and retries after a seeded
-   exponential backoff.
+   records the detection, calls the fault callback (the ladder's
+   fault-count trigger), and — if the retry policy allows — resets the
+   thread and retries after a seeded exponential backoff.
 
 The supervisor itself *never* fails: a permanently failed application is
 recorded (``record.failed``) and the supervisor returns normally, so the
@@ -28,14 +28,14 @@ on :mod:`repro.framework`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..sim.errors import DeadlineExceeded, FaultError, Interrupt
 from .retry import RetryPolicy, app_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.engine import Environment
-    from .degradation import ConcurrencyLimiter, DegradationController
+    from .degradation import ConcurrencyLimiter
     from .faults import FaultInjector
     from .watchdog import Watchdog
 
@@ -53,26 +53,21 @@ class AppSupervisor:
         The application thread to supervise (any object with ``run()``,
         ``reset_for_retry()``, a ``record`` and an ``app`` with
         ``app_id``).
+    injector:
+        Fault injector used for trace marks (retry/deadline instants).
     policy:
         Retry policy; ``None`` means a single attempt.
     watchdog, deadline:
         Watchdog instance and per-attempt deadline seconds; either may be
         ``None`` to disable deadline enforcement for this application.
-    limiter:
-        Admission gate; ``None`` admits unconditionally.
-    controller:
-        Degradation controller notified of every detected fault.
-    injector:
-        Fault injector used only for trace marks (retry/deadline
-        instants); may be ``None``.
+    gate:
+        Admission gate (a concurrency ladder's limiter); ``None`` admits
+        unconditionally.
+    on_fault:
+        Zero-argument callable invoked at every detected fault (the
+        ladder's fault-count trigger); ``None`` for no step-down.
     seed:
         Base seed combined with the app id for backoff jitter.
-    budget:
-        Shared :class:`~repro.resilience.budget.RetryBudget`, or ``None``
-        for unbudgeted retries (the historical behaviour).  When the
-        app's class bucket is empty a retry that the policy would allow
-        is *denied* instead: the app fails with ``retries_denied``
-        incremented, capping system-wide retry amplification.
     """
 
     def __init__(
@@ -80,24 +75,22 @@ class AppSupervisor:
         env: "Environment",
         thread,
         *,
+        injector: "FaultInjector",
         policy: Optional[RetryPolicy] = None,
         watchdog: Optional["Watchdog"] = None,
         deadline: Optional[float] = None,
-        limiter: Optional["ConcurrencyLimiter"] = None,
-        controller: Optional["DegradationController"] = None,
-        injector: Optional["FaultInjector"] = None,
+        gate: Optional["ConcurrencyLimiter"] = None,
+        on_fault: Optional[Callable[[], None]] = None,
         seed: int = 0,
-        budget=None,
     ) -> None:
         self.env = env
         self.thread = thread
+        self.injector = injector
         self.policy = policy if policy is not None else RetryPolicy(max_attempts=1)
         self.watchdog = watchdog
         self.deadline = deadline
-        self.limiter = limiter
-        self.controller = controller
-        self.injector = injector
-        self.budget = budget
+        self.gate = gate
+        self.on_fault = on_fault
         self.app_id: str = thread.app.app_id
         self._rng = app_rng(seed, self.app_id)
 
@@ -108,7 +101,7 @@ class AppSupervisor:
         record = thread.record
         attempt = 0
         # Causal tracing: the supervisor annotates the supervised app's
-        # trace (backoffs, watchdog fires, budget denials) through the
+        # trace (admission waits, backoffs, watchdog fires) through the
         # tracer the thread carries; None in untraced runs, which pay
         # nothing.
         tracer = thread.tracer
@@ -119,9 +112,9 @@ class AppSupervisor:
             attempt += 1
             record.attempts = attempt
 
-            if self.limiter is not None:
+            if self.gate is not None:
                 limiter_from = env.now
-                yield from self.limiter.acquire()
+                yield from self.gate.acquire()
                 if traced and env.now > limiter_from:
                     tracer.record(
                         trace_ctx, "admission.limiter", "admission-limiter",
@@ -140,46 +133,30 @@ class AppSupervisor:
             except (FaultError, Interrupt) as exc:
                 if guard is not None:
                     guard.disarm()
-                if self.limiter is not None:
-                    self.limiter.release()
+                if self.gate is not None:
+                    self.gate.release()
                 is_deadline = isinstance(exc, Interrupt) and isinstance(
                     exc.cause, DeadlineExceeded
                 )
                 record.faults_detected += 1
                 if is_deadline:
                     record.deadline_hits += 1
-                    if self.injector is not None:
-                        self.injector.mark_deadline(self.app_id, self.deadline)
+                    self.injector.mark_deadline(self.app_id, self.deadline)
                     if traced:
                         tracer.instant(
                             trace_ctx, "watchdog.deadline", "watchdog",
                             env.now, attempt=attempt, deadline=self.deadline,
                         )
-                if self.controller is not None:
-                    self.controller.note_fault()
+                if self.on_fault is not None:
+                    self.on_fault()
 
                 if not self.policy.allows_retry(attempt):
                     record.failed = True
                     record.complete_time = env.now
                     return
-                if self.budget is not None and not self.budget.try_spend(
-                    record.type_name, env.now
-                ):
-                    # The policy would retry, but the shared budget is
-                    # exhausted: fail rather than amplify.
-                    record.retries_denied += 1
-                    record.failed = True
-                    record.complete_time = env.now
-                    if traced:
-                        tracer.instant(
-                            trace_ctx, "retry.denied", "retry-denied",
-                            env.now, attempt=attempt,
-                        )
-                    return
                 record.retries += 1
                 delay = self.policy.delay(attempt, self._rng)
-                if self.injector is not None:
-                    self.injector.mark_retry(self.app_id, attempt, delay)
+                self.injector.mark_retry(self.app_id, attempt, delay)
                 thread.reset_for_retry()
                 if delay > 0:
                     backoff_from = env.now
@@ -194,6 +171,6 @@ class AppSupervisor:
             # Attempt finished cleanly inside its budget.
             if guard is not None:
                 guard.disarm()
-            if self.limiter is not None:
-                self.limiter.release()
+            if self.gate is not None:
+                self.gate.release()
             return

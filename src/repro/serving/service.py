@@ -966,13 +966,6 @@ class BatchOutcome:
     energy: float                # exact energy over the batch window (J)
     records: list                # AppRecords, all stamped with the order
 
-    @property
-    def prediction_error(self) -> float:
-        """Signed relative error of the scheduler's makespan prediction."""
-        if self.makespan <= 0:
-            return 0.0
-        return (self.decision.predicted_makespan - self.makespan) / self.makespan
-
 
 @dataclass
 class BatchedServingResult:

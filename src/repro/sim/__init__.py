@@ -3,9 +3,10 @@
 This package provides the event engine the GPU model is built on: an
 :class:`Environment` with a deterministic event calendar, generator-based
 :class:`Process` coroutines, FIFO :class:`Resource`/:class:`Mutex`/
-:class:`Store` primitives, and the :class:`Span`/:class:`Instant` rows
-(held by a :class:`TraceRecorder`) that play the role of the NVIDIA
-Visual Profiler for the reproduced timelines.  The timelines themselves
+:class:`Store` primitives, the fixed-interval :class:`Poller`, and the
+:class:`Span`/:class:`Instant` rows (held by a :class:`TraceRecorder`)
+that play the role of the NVIDIA Visual Profiler for the reproduced
+timelines.  The timelines themselves
 are derived from each run's command record, not recorded by the engines.
 
 The API intentionally mirrors SimPy (``env.process``, ``env.timeout``,
@@ -24,7 +25,7 @@ from .errors import (
     StopSimulation,
 )
 from .events import NORMAL, URGENT, AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
-from .process import Process
+from .process import Poller, Process
 from .resources import Mutex, Request, Resource, Store
 from .trace import Instant, Span, TraceRecorder, max_overlap
 
@@ -38,6 +39,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Process",
+    "Poller",
     "Resource",
     "Request",
     "Mutex",

@@ -17,7 +17,13 @@ from .events import NORMAL, PENDING, URGENT, Event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Environment
 
-__all__ = ["Process", "Initialize", "Interruption", "ProcessGenerator"]
+__all__ = [
+    "Process",
+    "Initialize",
+    "Interruption",
+    "Poller",
+    "ProcessGenerator",
+]
 
 #: Type alias for the generator signature accepted by :class:`Process`.
 ProcessGenerator = Generator[Event, Any, Any]
@@ -179,3 +185,39 @@ class Process(Event):
             event = next_event
 
         env._active_process = None
+
+
+class Poller:
+    """A process named ``name`` that waits ``interval``, then ticks.
+
+    Subclasses implement :meth:`tick`.  A loop that acts *before* it
+    waits (a sensor sampling at start time) is not a poller.
+    """
+
+    def __init__(self, env: "Environment", interval: float, name: str) -> None:
+        self.env = env
+        self.interval = interval
+        self.name = name
+        self._running = False
+
+    def start(self) -> None:
+        """Begin ticking (idempotent)."""
+        if self._running:
+            return
+        self._running = True
+        self.env.process(self._loop(), name=self.name)
+
+    def stop(self) -> None:
+        """Stop at the next interval boundary, without ticking."""
+        self._running = False
+
+    def _loop(self):
+        while self._running:
+            yield self.env.timeout(self.interval)
+            if not self._running:
+                return
+            self.tick()
+
+    def tick(self) -> None:
+        """Act once, at an interval boundary."""
+        raise NotImplementedError

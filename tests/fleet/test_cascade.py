@@ -230,6 +230,30 @@ class TestBrownoutInHarness:
         assert all(r.failed for r in shed)
         assert result.completed + result.failed == NUM_APPS
 
+    def test_tripped_ladder_stands_hedging_down(self):
+        # The gray plan that makes two stragglers hedge-eligible.  The
+        # ladder trips before the scan would first launch, so with the
+        # brownout on no hedge ever launches.
+        gray = TestHedgesSpendTheBudget
+        plain = run(plan=gray.GRAY, hedging=gray.HEDGE)
+        result = run(
+            plan=gray.GRAY,
+            hedging=gray.HEDGE,
+            brownout=BrownoutConfig(
+                window=1e-4,
+                trip_windows=1,
+                per_device_rate=1e9,
+                max_level=1,
+            ),
+        )
+        assert plain.hedges_launched == 2
+        tripped = result.brownout_events[0]
+        assert tripped["level"] == 1
+        assert tripped["t"] < plain.hedge_events[0]["t"]
+        assert result.brownout_level == 1
+        assert result.hedges_launched == 0
+        assert result.hedge_events == []
+
     def test_observational_probe_records_but_never_trips(self):
         result = run(
             brownout=BrownoutConfig(window=2e-4, per_device_rate=0.0)

@@ -10,7 +10,11 @@ metastable), shedding, and the observational defaults.
 
 import pytest
 
-from repro.resilience import BrownoutConfig, MetastabilityProbe
+from repro.resilience import (
+    BrownoutConfig,
+    ConcurrencyLadder,
+    MetastabilityProbe,
+)
 from repro.sim.engine import Environment
 
 pytestmark = pytest.mark.resilience
@@ -18,7 +22,13 @@ pytestmark = pytest.mark.resilience
 WINDOW = 1e-3
 
 
-def make(env, healthy=4, on_level=None, **overrides):
+def ladder_for(env, config, width=4):
+    """The fleet's brownout ladder: full width, then narrowed per level."""
+    narrow = max(1, int(width * config.width_factor))
+    return ConcurrencyLadder(env, (width,) + (narrow,) * config.max_level)
+
+
+def make(env, healthy=4, **overrides):
     cfg = dict(
         window=WINDOW,
         floor=0.5,
@@ -28,8 +38,9 @@ def make(env, healthy=4, on_level=None, **overrides):
         shed_types=("needle",),
     )
     cfg.update(overrides)
+    config = BrownoutConfig(**cfg)
     return MetastabilityProbe(
-        env, BrownoutConfig(**cfg), lambda: healthy, on_level=on_level
+        env, config, lambda: healthy, ladder_for(env, config)
     )
 
 
@@ -61,13 +72,16 @@ class TestWindowAccounting:
 
     def test_trip_after_consecutive_bad_windows(self):
         env = Environment()
-        seen = []
-        probe = make(env, on_level=lambda new, old: seen.append((old, new)))
+        probe = make(env)
         # 2 bad windows trip level 1; 2 more trip level 2.
         feed(env, probe, [4.0, 0.5, 0.5, 0.5, 0.5], 5)
-        assert probe.level == 2
-        assert seen == [(0, 1), (1, 2)]
+        assert probe.level == probe.ladder.level == 2
+        assert [(lvl, lim) for (_, lvl, lim) in probe.ladder.steps] == [
+            (1, 2),
+            (2, 2),
+        ]
         assert [e["level"] for e in probe.events] == [1, 2]
+        assert [e["from"] for e in probe.events] == [0, 1]
 
     def test_ladder_fires_before_metastable_count(self):
         env = Environment()
@@ -107,12 +121,9 @@ class TestWindowAccounting:
     def test_capacity_shrinks_with_fleet(self):
         env = Environment()
         healthy = [4]
+        config = BrownoutConfig(window=WINDOW, floor=0.5, per_device_rate=1000.0)
         probe = MetastabilityProbe(
-            env,
-            BrownoutConfig(
-                window=WINDOW, floor=0.5, per_device_rate=1000.0
-            ),
-            lambda: healthy[0],
+            env, config, lambda: healthy[0], ladder_for(env, config)
         )
 
         def driver():
@@ -140,7 +151,6 @@ class TestBrownoutActions:
         assert not probe.shed_class("needle")
         feed(env, probe, [0.0] * 4, 4)
         assert probe.level == 2
-        assert probe.brownout_active
         assert probe.shed_class("needle")
         assert not probe.shed_class("gaussian")
         assert probe.sheds == 1
