@@ -14,8 +14,8 @@ and keeps them running through device loss:
   checkpointed apps onto healthy devices via the launch-order placement
   policies.
 * :mod:`~repro.fleet.thread` / :mod:`~repro.fleet.harness` — the
-  checkpointed app thread and the multi-device harness (with crash-safe
-  journaling and deterministic resume).
+  checkpointed app thread and the multi-device harness (every write
+  fenced, with crash-safe journaling and deterministic resume).
 * :mod:`~repro.fleet.hedging` — gray-failure mitigation: the
   :class:`HedgeManager` races speculative replicas (forked from the
   latest checkpoint) against apps stuck on straggler devices, under a
@@ -33,7 +33,7 @@ paper pipeline, so fleet-off runs stay byte-identical.
 from .checkpoint import AppCheckpoint, CheckpointStore
 from .config import FleetConfig, HedgeConfig, StormControlConfig
 from .coordinator import FailoverCoordinator, RecoveryEvent
-from .harness import DeviceSummary, FleetHarness, FleetResult, run_fleet
+from .harness import DeviceSummary, FleetHarness, FleetResult
 from .health import HealthEvent, HealthMonitor
 from .hedging import Hedge, HedgeCancelled, HedgeManager, HedgeWin
 from .registry import DeviceRegistry, DeviceState, FleetDevice
@@ -60,7 +60,6 @@ __all__ = [
     "DeviceSummary",
     "FleetHarness",
     "FleetResult",
-    "run_fleet",
     "HealthEvent",
     "HealthMonitor",
     "DeviceRegistry",

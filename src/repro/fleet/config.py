@@ -149,8 +149,9 @@ class FleetConfig:
         benchmarks compare against.
     checkpoint:
         Take :class:`~repro.fleet.checkpoint.AppCheckpoint` snapshots at
-        phase boundaries (and journal them when a journal is attached).
-        With checkpointing off a migrated app restarts from scratch.
+        phase boundaries, each written through the run's fenced journal
+        (to disk when the run has a journal file).  With checkpointing
+        off a migrated app restarts from scratch.
     max_attempts:
         Retry budget per app for *fault* failures (device losses do not
         consume attempts; they are not the app's fault).

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..integrity.fencing import GenerationFence
+from ..integrity.fencing import FencedJournal, GenerationFence
 from ..sim.events import Event
 from .checkpoint import CheckpointStore
 from .config import FleetConfig
@@ -56,19 +56,20 @@ class FailoverCoordinator:
         registry: DeviceRegistry,
         fleet: FleetConfig,
         store: CheckpointStore,
-        journal=None,
-        fence: Optional[GenerationFence] = None,
+        journal: FencedJournal,
+        fence: GenerationFence,
         deadlines: Optional[Dict[str, float]] = None,
     ) -> None:
         self.env = env
         self.registry = registry
         self.fleet = fleet
         self.store = store
+        #: The run's fenced journal: every fleet write goes through it.
         self.journal = journal
         #: Per-device generation counters; advanced at every detected
         #: loss so checkpoint writes from the superseded binding are
         #: fenced off (see :mod:`repro.integrity.fencing`).
-        self.fence = fence if fence is not None else GenerationFence()
+        self.fence = fence
         #: Absolute SLO deadlines per app (queue priority; may be empty).
         self.deadlines: Dict[str, float] = dict(deadlines or {})
         self.assignment: Dict[str, Optional[int]] = {}
@@ -220,24 +221,23 @@ class FailoverCoordinator:
             else:
                 recovery["apps"].append(app_id)
                 self._pending_resume[app_id] = recovery
-        if self.journal is not None:
-            self.journal.record(
-                {
-                    "event": "failover",
-                    "app": app_id,
-                    "from": -1 if from_device is None else from_device,
-                    "to": -1 if target is None else target,
-                    "t": self.env.now,
-                    "phase": (
-                        checkpoint.phase_index if checkpoint is not None else 0
-                    ),
-                    "kernels": (
-                        checkpoint.completed_kernels
-                        if checkpoint is not None
-                        else 0
-                    ),
-                }
-            )
+        self.journal.record(
+            {
+                "event": "failover",
+                "app": app_id,
+                "from": -1 if from_device is None else from_device,
+                "to": -1 if target is None else target,
+                "t": self.env.now,
+                "phase": (
+                    checkpoint.phase_index if checkpoint is not None else 0
+                ),
+                "kernels": (
+                    checkpoint.completed_kernels
+                    if checkpoint is not None
+                    else 0
+                ),
+            }
+        )
         waiter = self._waiters.pop(app_id, None)
         if waiter is not None and not waiter.triggered:
             waiter.succeed(target)
@@ -262,15 +262,14 @@ class FailoverCoordinator:
         # device before the loss is superseded, so no in-flight checkpoint
         # of the old binding can land after the migrated replica's writes.
         self.fence.advance(index)
-        if self.journal is not None:
-            self.journal.record(
-                {
-                    "event": "device-lost",
-                    "device": index,
-                    "lost": device.loss_time,
-                    "detected": now,
-                }
-            )
+        self.journal.record(
+            {
+                "event": "device-lost",
+                "device": index,
+                "lost": device.loss_time,
+                "detected": now,
+            }
+        )
         recovery = RecoveryEvent(
             device=index,
             lost=device.loss_time,

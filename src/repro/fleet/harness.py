@@ -9,10 +9,24 @@ the thread-spawn cost) on top of the fleet machinery:
   FailoverCoordinator` using the configured placement policy;
 * each app runs inside a *driver* loop that retries faults from the last
   checkpoint and migrates across device losses;
-* an optional crash-safe journal (reusing :class:`~repro.serving.journal.
-  RunJournal`) records checkpoints, device losses, failovers and terminal
-  app outcomes; a run killed by :class:`~repro.sim.errors.HarnessCrash`
-  mid-failover resumes by deterministic replay, verified entry-by-entry.
+* every fleet write (checkpoints, device losses, failovers, hedges,
+  queued migrations, brownout steps, terminal app outcomes) goes through
+  one :class:`~repro.integrity.fencing.FencedJournal`, which drops stale
+  writes whether or not a journal file sits behind it; with a
+  ``journal_path`` the file is a crash-safe :class:`~repro.serving.
+  journal.RunJournal`, and a run killed by :class:`~repro.sim.errors.
+  HarnessCrash` mid-failover resumes by deterministic replay, verified
+  entry-by-entry.
+
+A run has three stages on one private per-run object.  Its constructor
+*builds* the fleet: registry, checkpoint store, journal, fence,
+coordinator, the configured retry budget, brownout ladder and probe,
+straggler detector and hedge manager, the health monitor, the list of
+pollers the run starts and stops, and the telemetry wiring.  ``run()``
+*simulates*: the parent process prepares every app, starts the pollers
+in list order, spawns the drivers, waits, stops them and tears down;
+then telemetry, the journal and the traces are closed.  ``_result()``
+*measures* what the simulation left behind.
 
 :class:`FleetResult` aggregates per-device summaries (energy cut off at
 the loss instant, goodput), recovery timelines and migration accounting,
@@ -29,6 +43,7 @@ from typing import Dict, List, Optional, Sequence
 from ..framework.kernel import KernelApp
 from ..framework.metrics import AppRecord, makespan
 from ..gpu.specs import DeviceSpec
+from ..integrity.fencing import FencedJournal, GenerationFence
 from ..integrity.record import fingerprint
 from ..resilience.budget import RetryBudget, unfinishable
 from ..resilience.degradation import ConcurrencyLadder
@@ -38,7 +53,7 @@ from ..resilience.retry import app_rng
 from ..sim.engine import Environment
 from ..sim.errors import DeviceLost, FaultError, HarnessCrash, Interrupt
 from ..sim.events import AllOf
-from .checkpoint import CheckpointStore
+from .checkpoint import AppCheckpoint, CheckpointStore
 from .config import FleetConfig
 from .coordinator import FailoverCoordinator, RecoveryEvent
 from .health import HealthEvent, HealthMonitor
@@ -46,7 +61,7 @@ from .hedging import HedgeManager, HedgeWin
 from .registry import DeviceRegistry
 from .thread import FleetAppThread
 
-__all__ = ["DeviceSummary", "FleetResult", "FleetHarness", "run_fleet"]
+__all__ = ["DeviceSummary", "FleetResult", "FleetHarness"]
 
 
 class _ShedWork(Exception):
@@ -186,37 +201,16 @@ class FleetResult:
         return text
 
 
-def _fleet_fingerprint(
-    apps: Sequence[KernelApp],
-    fleet: FleetConfig,
-    num_streams: int,
-    memory_sync: bool,
-    copy_policy: str,
-    spec: Optional[DeviceSpec],
-    power_interval: float,
-    plan: FaultPlan,
-    seed: int,
-    deadlines: Optional[Dict[str, float]] = None,
-) -> str:
+def _fleet_fingerprint(harness: "FleetHarness", spec: DeviceSpec) -> str:
     """Content hash of everything that determines the run's journal."""
+    fleet = harness.fleet
     payload = {
-        "apps": [[a.app_id, a.profile.name] for a in apps],
-        "fleet": [
-            fleet.num_devices,
-            fleet.heartbeat_interval,
-            fleet.detection_latency,
-            fleet.detection_jitter,
-            fleet.failover,
-            fleet.checkpoint,
-            fleet.max_attempts,
-            fleet.placement,
-            fleet.seed,
-        ],
-        "num_streams": num_streams,
-        "memory_sync": memory_sync,
-        "copy_policy": copy_policy,
-        "spec": spec.name if spec is not None else None,
-        "power_interval": power_interval,
+        "apps": [[a.app_id, a.profile.name] for a in harness.apps],
+        "num_streams": harness.num_streams,
+        "memory_sync": harness.memory_sync,
+        "copy_policy": harness.copy_policy,
+        "spec": spec.name,
+        "power_interval": harness.power_interval,
         # HARNESS_CRASH is excluded on purpose: a crash (and the resume
         # that follows) does not change what the run computes, so a
         # crashed-and-resumed journal stays byte-identical to the journal
@@ -224,62 +218,28 @@ def _fleet_fingerprint(
         "plan": [
             [f.kind.value, f.time, f.target, f.duration, f.factor,
              f.direction, f.device]
-            for f in plan
+            for f in harness.plan
             if f.kind.value != "harness_crash"
         ],
-        "seed": seed,
+        "seed": harness.seed,
     }
-    if fleet.hedging is not None:
-        # Key is absent (not None) with hedging off so fingerprints — and
-        # therefore journals — of pre-gray runs stay byte-identical.
-        h = fleet.hedging
-        payload["hedging"] = [
-            h.check_interval,
-            h.straggler_score,
-            h.min_samples,
-            h.ema_alpha,
-            h.window,
-            h.min_remaining_kernels,
-            h.budget_fraction,
-            h.max_hedges_per_app,
-        ]
-    # Like "hedging": every containment key is absent — not None — when
-    # its feature is off, so pre-cascade journals stay byte-identical.
-    if fleet.topology is not None:
-        t = fleet.topology
-        payload["topology"] = [t.rails, t.switches, t.racks, t.shuffle_seed]
-    if fleet.storm is not None:
-        s = fleet.storm
-        payload["storm"] = [s.max_inflight_per_device, s.pace_interval]
-    if fleet.retry_budget is not None:
-        b = fleet.retry_budget
-        payload["retry_budget"] = [b.rate, b.burst, b.shared]
-    if fleet.brownout is not None:
-        bo = fleet.brownout
-        payload["brownout"] = [
-            bo.window,
-            bo.floor,
-            bo.trip_windows,
-            bo.recover_windows,
-            bo.max_level,
-            bo.width_factor,
-            list(bo.shed_types),
-            bo.per_device_rate,
-        ]
-    if fleet.retry_backoff is not None:
-        rb = fleet.retry_backoff
-        payload["retry_backoff"] = [
-            rb.max_attempts,
-            rb.base_delay,
-            rb.backoff,
-            rb.jitter,
-            rb.mode,
-        ]
+    # A set config section is keyed by its field name, its values in
+    # field order.  An unset one is absent (not None), and so is a false
+    # shed_unfinishable, so journals of runs that predate a section keep
+    # their bytes.  The remaining scalar fields form the "fleet" list.
+    scalars = []
+    for f in dataclasses.fields(fleet):
+        value = getattr(fleet, f.name)
+        if dataclasses.is_dataclass(value):
+            payload[f.name] = dataclasses.astuple(value)
+        elif value is not None and f.name != "shed_unfinishable":
+            scalars.append(value)
+    payload["fleet"] = scalars
     if fleet.shed_unfinishable:
         payload["shed_unfinishable"] = True
-    if deadlines:
+    if harness.deadlines:
         payload["deadlines"] = sorted(
-            [app_id, float(t)] for app_id, t in deadlines.items()
+            [app_id, float(t)] for app_id, t in harness.deadlines.items()
         )
     return fingerprint(payload)
 
@@ -335,111 +295,114 @@ class FleetHarness:
 
     def run(self) -> FleetResult:
         """Build the fleet, run the schedule to completion, measure."""
-        from ..integrity.fencing import FencedJournal, GenerationFence
+        return _FleetRun(self).run()
+
+
+class _FleetRun:
+    """One run of a :class:`FleetHarness`, in three stages.
+
+    The constructor builds the fleet, :meth:`run` simulates it and
+    :meth:`_result` measures what the simulation left behind.
+    """
+
+    def __init__(self, harness: FleetHarness) -> None:
         from ..serving.journal import RunJournal
 
-        fleet = self.fleet
-        env = Environment()
-        tracer = self.tracing.tracer if self.tracing is not None else None
-        registry = DeviceRegistry(
+        self.harness = harness
+        fleet = self.fleet = harness.fleet
+        env = self.env = Environment()
+        self.deadlines = harness.deadlines
+        self.tracer = (
+            harness.tracing.tracer if harness.tracing is not None else None
+        )
+        registry = self.registry = DeviceRegistry(
             env,
             fleet,
-            num_streams=self.num_streams,
-            memory_sync=self.memory_sync,
-            spec=self.spec,
-            copy_policy=self.copy_policy,
-            power_interval=self.power_interval,
-            plan=self.plan,
+            num_streams=harness.num_streams,
+            memory_sync=harness.memory_sync,
+            spec=harness.spec,
+            copy_policy=harness.copy_policy,
+            power_interval=harness.power_interval,
+            plan=harness.plan,
         )
-        store = CheckpointStore()
+        store = self.store = CheckpointStore()
 
-        journal = None
-        recovered = 0
-        if self.journal_path is not None:
-            journal = RunJournal(self.journal_path)
-            recovered = journal.begin(
-                _fleet_fingerprint(
-                    self.apps,
-                    fleet,
-                    self.num_streams,
-                    self.memory_sync,
-                    self.copy_policy,
-                    registry.spec,
-                    self.power_interval,
-                    self.plan,
-                    self.seed,
-                    self.deadlines,
-                ),
-                resume=self.resume,
+        self.journal = None
+        self.recovered = 0
+        if harness.journal_path is not None:
+            self.journal = RunJournal(harness.journal_path)
+            self.recovered = self.journal.begin(
+                _fleet_fingerprint(harness, registry.spec),
+                resume=harness.resume,
             )
 
-        # All fleet journaling goes through the fence: checkpoint writes
-        # present their bind-time token, coordinator/terminal records pass
-        # tokenless (they are legitimate after a loss).
-        fence = GenerationFence()
-        fenced = FencedJournal(journal, fence) if journal is not None else None
-        coordinator = FailoverCoordinator(
-            env, registry, fleet, store, journal=fenced, fence=fence,
+        # Every fleet write goes through the fence, journal file or not:
+        # checkpoint writes present their bind-time token, coordinator
+        # and terminal records pass tokenless (they are legitimate after
+        # a loss).
+        fence = self.fence = GenerationFence()
+        fenced = self.fenced = FencedJournal(self.journal, fence)
+        coordinator = self.coordinator = FailoverCoordinator(
+            env, registry, fleet, store, fenced, fence,
             deadlines=self.deadlines,
         )
-        deadline_of = self.deadlines
 
         # Shared retry budget: one token bucket gating supervisor-style
         # fault retries, deadline re-runs *and* hedge launches.
-        budget: Optional[RetryBudget] = None
+        self.budget: Optional[RetryBudget] = None
         if fleet.retry_budget is not None:
-            budget = RetryBudget(fleet.retry_budget, lambda: env.now)
+            self.budget = RetryBudget(fleet.retry_budget, lambda: env.now)
 
         # Brownout: the concurrency ladder (one width gate per device)
         # and its goodput trigger, built only when configured.  It comes
         # before the hedge manager, which reads its level.
-        ladder: Optional[ConcurrencyLadder] = None
-        probe: Optional[MetastabilityProbe] = None
+        self.ladder: Optional[ConcurrencyLadder] = None
+        self.probe: Optional[MetastabilityProbe] = None
         if fleet.brownout is not None:
             bcfg = fleet.brownout
-            narrow = max(1, int(self.num_streams * bcfg.width_factor))
-            ladder = ConcurrencyLadder(
-                env, (self.num_streams,) + (narrow,) * bcfg.max_level,
+            narrow = max(1, int(harness.num_streams * bcfg.width_factor))
+            self.ladder = ConcurrencyLadder(
+                env, (harness.num_streams,) + (narrow,) * bcfg.max_level,
                 devices=len(registry),
             )
-            probe = MetastabilityProbe(
-                env, bcfg, lambda: len(registry.healthy()), ladder,
+            self.probe = MetastabilityProbe(
+                env, bcfg, lambda: len(registry.healthy()), self.ladder,
                 journal=fenced,
             )
 
         # Gray-failure mitigation is built only when configured: with
         # ``hedging=None`` no detector exists, no observation callbacks
         # fire, no scan process runs — results stay byte-identical.
-        detector = None
-        hedges: Optional[HedgeManager] = None
+        self.detector = None
+        self.hedges: Optional[HedgeManager] = None
         if fleet.hedging is not None:
             from ..resilience.gray import StragglerDetector
 
             hcfg = fleet.hedging
-            detector = StragglerDetector(
+            self.detector = StragglerDetector(
                 fleet.num_devices,
                 ema_alpha=hcfg.ema_alpha,
                 window=hcfg.window,
                 min_samples=hcfg.min_samples,
                 straggler_score=hcfg.straggler_score,
             )
-            hedges = HedgeManager(
+            self.hedges = HedgeManager(
                 env,
                 registry,
                 coordinator,
                 store,
                 fleet,
-                detector,
+                self.detector,
                 total_kernels={
-                    a.app_id: a.profile.kernel_launches for a in self.apps
+                    a.app_id: a.profile.kernel_launches for a in harness.apps
                 },
                 journal=fenced,
                 fence=fence,
-                budget=budget,
-                ladder=ladder,
+                budget=self.budget,
+                ladder=self.ladder,
             )
 
-        monitor = HealthMonitor(
+        self.monitor = HealthMonitor(
             env,
             registry,
             interval=fleet.heartbeat_interval,
@@ -447,391 +410,429 @@ class FleetHarness:
             detection_jitter=fleet.detection_jitter,
             seed=fleet.seed,
             on_lost=coordinator.device_detected_lost,
-            detector=detector,
+            detector=self.detector,
+        )
+        #: The pollers and telemetry the run starts and stops, in start
+        #: order.  The order shows in the journal: pollers that tick at
+        #: one instant write in the order they were started.
+        self.lifecycle = [
+            handle
+            for handle in (
+                self.monitor,
+                self.hedges,
+                coordinator.storm,
+                self.probe,
+                harness.telemetry,
+            )
+            if handle is not None
+        ]
+
+        self.records: List[AppRecord] = []
+        self.threads: List[FleetAppThread] = []
+        #: Per-app high-water mark of checkpointed kernels: the probe is
+        #: fed only *new* progress, and only while the app can still meet
+        #: its deadline — work re-executed for doomed attempts is retry
+        #: amplification, not goodput.
+        self.progress_seen: Dict[str, int] = {}
+        if harness.telemetry is not None:
+            self._instrument(harness.telemetry)
+
+    def _instrument(self, telemetry) -> None:
+        from ..telemetry.probes import (
+            instrument_cascade,
+            instrument_environment,
+            instrument_failover,
+            instrument_fleet_device,
+            instrument_health_monitor,
+            instrument_hedging,
+            instrument_integrity,
+            instrument_records,
         )
 
+        storm = self.coordinator.storm
+        telemetry.attach(self.env)
+        instrument_environment(telemetry, self.env)
+        for fdev in self.registry:
+            instrument_fleet_device(telemetry, fdev)
+        instrument_health_monitor(telemetry, self.monitor)
+        instrument_failover(telemetry, self.coordinator)
+        instrument_records(telemetry, self.records)
+        instrument_integrity(
+            telemetry, None, fence=self.fence, journal=self.journal
+        )
+        if self.hedges is not None:
+            instrument_hedging(telemetry, self.hedges, self.detector)
+        if (
+            self.probe is not None
+            or storm is not None
+            or self.budget is not None
+        ):
+            instrument_cascade(
+                telemetry, probe=self.probe, storm=storm, budget=self.budget
+            )
+
+    # -- simulate ----------------------------------------------------------
+
+    def run(self) -> FleetResult:
+        """Simulate the schedule, close the run's outputs and measure."""
+        env = self.env
+        harness = self.harness
+        done = env.process(self._parent(), name="fleet-parent")
         # The first planned harness crash kills the run at its arm time —
         # unless we are resuming past it.
-        crash_at: Optional[float] = None
-        crashes = self.plan.crash_times()
-        if crashes and not self.resume:
-            crash_at = crashes[0]
-
-        records: List[AppRecord] = []
-        spec = registry.spec
-
-        telemetry = self.telemetry
-        if telemetry is not None:
-            from ..telemetry.probes import (
-                instrument_environment,
-                instrument_failover,
-                instrument_fleet_device,
-                instrument_health_monitor,
-                instrument_hedging,
-                instrument_integrity,
-                instrument_records,
-            )
-
-            telemetry.attach(env)
-            instrument_environment(telemetry, env)
-            for fdev in registry:
-                instrument_fleet_device(telemetry, fdev)
-            instrument_health_monitor(telemetry, monitor)
-            instrument_failover(telemetry, coordinator)
-            instrument_records(telemetry, records)
-            instrument_integrity(telemetry, None, fence=fence, journal=journal)
-            if hedges is not None:
-                instrument_hedging(telemetry, hedges, detector)
-            if (
-                probe is not None
-                or coordinator.storm is not None
-                or budget is not None
-            ):
-                from ..telemetry.probes import instrument_cascade
-
-                instrument_cascade(
-                    telemetry,
-                    probe=probe,
-                    storm=coordinator.storm,
-                    budget=budget,
-                )
-
-        def bind(thread: FleetAppThread, fdev) -> None:
-            # (Re-)binding takes a fresh fencing token; snapshots carry
-            # its generation so stale post-failover writes are rejected.
-            thread.bind(fdev)
-            thread.fence_token = fence.token(fdev.index)
-            thread.checkpoint.generation = thread.fence_token.generation
-
-        # Per-app high-water mark of checkpointed kernels: the probe is
-        # fed only *new* progress, and only while the app can still meet
-        # its deadline — work re-executed for doomed attempts is retry
-        # amplification, not goodput.
-        progress_seen: Dict[str, int] = {}
-
-        def note_progress(thread: FleetAppThread) -> None:
-            if probe is None:
-                return
-            app_id = thread.app.app_id
-            completed = thread.checkpoint.completed_kernels
-            seen = progress_seen.get(app_id, 0)
-            if completed > seen:
-                deadline = deadline_of.get(app_id)
-                if deadline is None or env.now <= deadline:
-                    probe.note_progress(completed - seen)
-                progress_seen[app_id] = completed
-
-        def on_checkpoint(thread: FleetAppThread) -> None:
-            app_id = thread.app.app_id
-            note_progress(thread)
-            if tracer is not None:
-                ctx = getattr(thread, "trace_ctx", None)
-                if ctx is not None:
-                    tracer.instant(
-                        ctx, "checkpoint", "checkpoint", env.now,
-                        kernels=thread.checkpoint.completed_kernels,
-                    )
-            # A migrant that reached a phase boundary on its new device
-            # is warmed up: its recovery slot stops gating the queue.
-            coordinator.note_warmed(app_id)
-            if fleet.checkpoint:
-                snapshot = dataclasses.replace(thread.checkpoint)
-                store.save(snapshot)
-                if fenced is not None:
-                    fenced.record(snapshot.as_entry(), token=thread.fence_token)
-            if fleet.shed_unfinishable and unfinishable(
-                env.now, deadline_of.get(app_id)
-            ):
-                # Deadline propagation: the attempt cannot produce useful
-                # output anymore, so stop burning capacity on it.
-                raise _ShedWork()
-
-        def adopt_win(record: AppRecord, win: HedgeWin) -> None:
-            # The replica's result becomes the app's result; its measured
-            # events join the record so all executed work stays visible.
-            record.outcome = "completed"
-            record.complete_time = win.time
-            record.device_index = win.device
-            record.stream_index = win.stream
-            record.hedge_wins += 1
-            record.duplicate_kernels += win.duplicates
-            record.kernels.extend(win.kernels)
-            record.transfers.extend(win.transfers)
-
-        def drive(thread: FleetAppThread, record: AppRecord):
-            app_id = thread.app.app_id
-            trace_ctx = getattr(thread, "trace_ctx", None)
-            traced = tracer is not None and trace_ctx is not None
-            backoff_rng = (
-                app_rng(self.seed, app_id)
-                if fleet.retry_backoff is not None
-                else None
-            )
-            fault_failures = 0
-            attempts = 0
-            pending_reexec: Optional[int] = None
-
-            def terminal(outcome: str) -> None:
-                record.failed = outcome != "completed"
-                record.outcome = outcome
-                record.complete_time = env.now
-
-            while True:
-                acquire_from = env.now
-                fdev = yield from coordinator.acquire_device(app_id)
-                if traced and env.now > acquire_from:
-                    # Parked waiting for a surviving device: the failover/
-                    # re-placement stall the critical path should show.
-                    tracer.record(
-                        trace_ctx, "migration.stall", "migration-stall",
-                        acquire_from, env.now, attempt=attempts + 1,
-                    )
-                if hedges is not None:
-                    # A replica may have finished while this driver was
-                    # parked mid-failover: adopt its win instead of
-                    # re-running from the checkpoint.
-                    win = hedges.claim_win(app_id)
-                    if win is not None:
-                        adopt_win(record, win)
-                        break
-                if fdev is None:
-                    terminal("device-lost")
-                    break
-                deadline = deadline_of.get(app_id)
-                if fleet.shed_unfinishable and unfinishable(env.now, deadline):
-                    # Deadline propagation at admission: do not start
-                    # (or restart) work that can no longer finish.
-                    terminal("shed-deadline")
-                    break
-                if probe is not None and probe.shed_class(record.type_name):
-                    # Level-2 brownout: low-priority classes are dropped
-                    # at their next admission point.
-                    terminal("shed-brownout")
-                    break
-                if pending_reexec is not None:
-                    record.migrations += 1
-                    record.reexecuted_kernels += pending_reexec
-                    pending_reexec = None
-                bind(thread, fdev)
-                attempts += 1
-                record.attempts = attempts
-                # Level >= 1 brownouts narrow per-device admission width
-                # so running attempts stop time-sharing with the backlog.
-                gate = ladder.gates[fdev.index] if ladder else None
-                holding = False
-                try:
-                    if gate is not None:
-                        gate_from = env.now
-                        yield from gate.acquire()
-                        holding = True
-                        if traced and env.now > gate_from:
-                            tracer.record_leaf(
-                                trace_ctx, "brownout.gate",
-                                "admission-limiter", gate_from, env.now,
-                            )
-                    yield from thread.run_attempt()
-                except _ShedWork:
-                    terminal("shed-deadline")
-                    break
-                except Interrupt as exc:
-                    cause = exc.cause
-                    if isinstance(cause, HedgeWin):
-                        adopt_win(record, cause)
-                        break
-                    if not isinstance(cause, DeviceLost):
-                        raise
-                    pending_reexec = thread.note_device_lost(cause)
-                    if not fleet.checkpoint:
-                        pending_reexec += thread.restart_from_scratch()
-                    continue
-                except FaultError:
-                    fault_failures += 1
-                    record.faults_detected += 1
-                    if fault_failures >= fleet.max_attempts:
-                        terminal("failed")
-                        break
-                    if fleet.shed_unfinishable and unfinishable(
-                        env.now, deadline
-                    ):
-                        terminal("shed-deadline")
-                        break
-                    if budget is not None and not budget.try_spend(
-                        record.type_name, env.now
-                    ):
-                        # The attempt cap would allow a retry, but the
-                        # shared budget is empty: shed, don't amplify.
-                        record.retries_denied += 1
-                        terminal("retry-budget")
-                        break
-                    record.retries += 1
-                    thread.reset_attempt()
-                    if not fleet.checkpoint:
-                        thread.restart_from_scratch()
-                    if backoff_rng is not None:
-                        delay = fleet.retry_backoff.delay(
-                            fault_failures, backoff_rng
-                        )
-                        if delay > 0:
-                            backoff_from = env.now
-                            yield env.timeout(delay)
-                            if traced:
-                                tracer.record(
-                                    trace_ctx, "retry.backoff",
-                                    "retry-backoff", backoff_from, env.now,
-                                    attempt=attempts,
-                                )
-                    continue
-                finally:
-                    if holding:
-                        gate.release()
-                # The attempt finished cleanly — but did it finish in
-                # time?  A late completion is worthless to its client.
-                if deadline is not None and env.now > deadline:
-                    if fleet.shed_unfinishable or attempts >= fleet.max_attempts:
-                        terminal("deadline-missed")
-                        break
-                    if budget is not None and not budget.try_spend(
-                        record.type_name, env.now
-                    ):
-                        record.retries_denied += 1
-                        terminal("deadline-missed")
-                        break
-                    # Uncontained client behaviour: the response arrived
-                    # too late, so the whole request is re-submitted from
-                    # scratch — the deadline-driven retry storm that
-                    # containment exists to break.
-                    record.retries += 1
-                    thread.reset_attempt()
-                    record.reexecuted_kernels += thread.restart_from_scratch()
-                    continue
-                record.outcome = "completed"
-                break
-            coordinator.note_warmed(app_id)
-            if hedges is not None:
-                # Terminal either way: a still-racing replica stands down.
-                hedges.primary_terminal(app_id)
-            coordinator.note_done(app_id)
-            if fenced is not None:
-                # Tokenless on purpose: a "device-lost" terminal outcome
-                # is legitimately written after the generation advanced.
-                fenced.record(
-                    {
-                        "event": "app",
-                        "app": app_id,
-                        "outcome": record.outcome,
-                        "device": record.device_index,
-                        "migrations": record.migrations,
-                        "reexec": record.reexecuted_kernels,
-                        "complete": record.complete_time,
-                    }
-                )
-
-        #: launch_index -> root SpanContext for every traced app.
-        trace_ctxs: Dict[int, object] = {}
-
-        def parent():
-            threads: List[FleetAppThread] = []
-            for launch_index, app in enumerate(self.apps):
-                record = AppRecord(
-                    app_id=app.app_id,
-                    type_name=app.profile.name,
-                    instance=app.instance,
-                    stream_index=-1,
-                    launch_index=launch_index,
-                )
-                if app.app_id in deadline_of:
-                    record.slo_deadline = deadline_of[app.app_id]
-                records.append(record)
-                thread = FleetAppThread(
-                    env, app, record,
-                    checkpoint=_fresh_checkpoint(app.app_id),
-                    on_checkpoint=on_checkpoint,
-                )
-                thread.detector = detector
-                fdev = coordinator.register(thread)
-                bind(thread, fdev)
-                threads.append(thread)
-                if tracer is not None:
-                    thread.trace_ctx = tracer.start_trace(
-                        record.app_id, env.now,
-                        type=record.type_name, index=launch_index,
-                    )
-                    trace_ctxs[launch_index] = thread.trace_ctx
-                prepare_from = env.now
-                yield from thread.prepare()
-                if tracer is not None and env.now > prepare_from:
-                    tracer.record_leaf(
-                        thread.trace_ctx, "host.prepare", "prepare",
-                        prepare_from, env.now,
-                    )
-
-            registry.start()
-            monitor.start()
-            if hedges is not None:
-                hedges.start()
-            if coordinator.storm is not None:
-                coordinator.storm.start()
-            if probe is not None:
-                probe.start()
-            if telemetry is not None:
-                telemetry.start()
-            children = []
-            for thread, record in zip(threads, records):
-                yield env.timeout(spec.host.thread_spawn_cost)
-                record.spawn_time = env.now
-                proc = env.process(
-                    drive(thread, record),
-                    name=f"fleet-drive-{thread.app.app_id}",
-                )
-                coordinator.register_proc(thread.app.app_id, proc)
-                children.append(proc)
-            if children:
-                yield AllOf(env, children)
-            if hedges is not None:
-                hedges.stop()
-            if coordinator.storm is not None:
-                coordinator.storm.stop()
-            if probe is not None:
-                probe.stop()
-            monitor.stop()
-            registry.stop()
-            if telemetry is not None:
-                telemetry.stop()
-            for thread in threads:
-                yield from thread.cleanup()
-            if hedges is not None:
-                yield from hedges.cleanup_replicas()
-
-        def crash_body():
-            yield env.timeout(crash_at)
-            raise HarnessCrash(env.now)
-
-        done = env.process(parent(), name="fleet-parent")
-        if crash_at is not None:
-            env.process(crash_body(), name="fleet-crash")
+        crashes = harness.plan.crash_times()
+        if crashes and not harness.resume:
+            env.process(self._crash(crashes[0]), name="fleet-crash")
         try:
             env.run(until=done)
         except HarnessCrash as crash:
-            if journal is not None:
-                journal.crash(crash.time)
+            if self.journal is not None:
+                self.journal.crash(crash.time)
             raise
         env.run()  # settle same-time trailing events
-        if telemetry is not None:
-            telemetry.finalize()
+        if harness.telemetry is not None:
+            harness.telemetry.finalize()
+        if self.journal is not None:
+            self.journal.finish()
+        if self.tracer is not None:
+            for thread in self.threads:
+                record = thread.record
+                self.tracer.end_trace(
+                    thread.trace_ctx, record.complete_time,
+                    outcome=record.outcome,
+                )
+            if self.hedges is not None:
+                self._trace_hedges()
+        return self._result()
 
-        if journal is not None:
-            journal.finish()
+    def _crash(self, at: float):
+        yield self.env.timeout(at)
+        raise HarnessCrash(self.env.now)
 
-        if tracer is not None:
-            for record in records:
-                ctx = trace_ctxs.get(record.launch_index)
-                if ctx is not None:
-                    tracer.end_trace(
-                        ctx, record.complete_time, outcome=record.outcome
-                    )
+    def _parent(self):
+        """Prepare every app, start the pollers, spawn the drivers, wait,
+        and tear down."""
+        env = self.env
+        tracer = self.tracer
+        for launch_index, app in enumerate(self.harness.apps):
+            record = AppRecord(
+                app_id=app.app_id,
+                type_name=app.profile.name,
+                instance=app.instance,
+                stream_index=-1,
+                launch_index=launch_index,
+            )
+            if app.app_id in self.deadlines:
+                record.slo_deadline = self.deadlines[app.app_id]
+            self.records.append(record)
+            thread = FleetAppThread(
+                env, app, record,
+                checkpoint=AppCheckpoint(app_id=app.app_id),
+                on_checkpoint=self._on_checkpoint,
+            )
+            thread.detector = self.detector
+            self._bind(thread, self.coordinator.register(thread))
+            self.threads.append(thread)
+            if tracer is not None:
+                thread.trace_ctx = tracer.start_trace(
+                    record.app_id, env.now,
+                    type=record.type_name, index=launch_index,
+                )
+            prepare_from = env.now
+            yield from thread.prepare()
+            if tracer is not None and env.now > prepare_from:
+                tracer.record_leaf(
+                    thread.trace_ctx, "host.prepare", "prepare",
+                    prepare_from, env.now,
+                )
+
+        self.registry.start()
+        for handle in self.lifecycle:
+            handle.start()
+        children = []
+        for thread in self.threads:
+            yield env.timeout(self.registry.spec.host.thread_spawn_cost)
+            thread.record.spawn_time = env.now
+            proc = env.process(
+                self._drive(thread), name=f"fleet-drive-{thread.app.app_id}"
+            )
+            self.coordinator.register_proc(thread.app.app_id, proc)
+            children.append(proc)
+        yield AllOf(env, children)
+        for handle in self.lifecycle:
+            handle.stop()
+        self.registry.stop()
+        for thread in self.threads:
+            yield from thread.cleanup()
+        if self.hedges is not None:
+            yield from self.hedges.cleanup_replicas()
+
+    def _bind(self, thread: FleetAppThread, fdev) -> None:
+        # (Re-)binding takes a fresh fencing token; snapshots carry its
+        # generation so stale post-failover writes are rejected.
+        thread.bind(fdev)
+        thread.fence_token = self.fence.token(fdev.index)
+        thread.checkpoint.generation = thread.fence_token.generation
+
+    def _note_progress(self, thread: FleetAppThread) -> None:
+        if self.probe is None:
+            return
+        app_id = thread.app.app_id
+        completed = thread.checkpoint.completed_kernels
+        seen = self.progress_seen.get(app_id, 0)
+        if completed > seen:
+            deadline = self.deadlines.get(app_id)
+            if deadline is None or self.env.now <= deadline:
+                self.probe.note_progress(completed - seen)
+            self.progress_seen[app_id] = completed
+
+    def _on_checkpoint(self, thread: FleetAppThread) -> None:
+        app_id = thread.app.app_id
+        now = self.env.now
+        self._note_progress(thread)
+        if self.tracer is not None:
+            self.tracer.instant(
+                thread.trace_ctx, "checkpoint", "checkpoint", now,
+                kernels=thread.checkpoint.completed_kernels,
+            )
+        # A migrant that reached a phase boundary on its new device is
+        # warmed up: its recovery slot stops gating the queue.
+        self.coordinator.note_warmed(app_id)
+        if self.fleet.checkpoint:
+            snapshot = dataclasses.replace(thread.checkpoint)
+            self.store.save(snapshot)
+            self.fenced.record(snapshot.as_entry(), token=thread.fence_token)
+        if self.fleet.shed_unfinishable and unfinishable(
+            now, self.deadlines.get(app_id)
+        ):
+            # Deadline propagation: the attempt cannot produce useful
+            # output anymore, so stop burning capacity on it.
+            raise _ShedWork()
+
+    @staticmethod
+    def _adopt_win(record: AppRecord, win: HedgeWin) -> None:
+        # The replica's result becomes the app's result; its measured
+        # events join the record so all executed work stays visible.
+        record.outcome = "completed"
+        record.complete_time = win.time
+        record.device_index = win.device
+        record.stream_index = win.stream
+        record.hedge_wins += 1
+        record.duplicate_kernels += win.duplicates
+        record.kernels.extend(win.kernels)
+        record.transfers.extend(win.transfers)
+
+    def _drive(self, thread: FleetAppThread):
+        """One app's driver: attempts, retries and migrations, until the
+        app reaches a terminal outcome."""
+        record = thread.record
+        env = self.env
+        fleet = self.fleet
+        coordinator = self.coordinator
+        hedges = self.hedges
+        budget = self.budget
+        tracer = self.tracer
+        app_id = thread.app.app_id
+        deadline = self.deadlines.get(app_id)
+        backoff_rng = (
+            app_rng(self.harness.seed, app_id)
+            if fleet.retry_backoff is not None
+            else None
+        )
+        fault_failures = 0
+        attempts = 0
+        pending_reexec: Optional[int] = None
+
+        def terminal(outcome: str) -> None:
+            record.failed = outcome != "completed"
+            record.outcome = outcome
+            record.complete_time = env.now
+
+        while True:
+            acquire_from = env.now
+            fdev = yield from coordinator.acquire_device(app_id)
+            if tracer is not None and env.now > acquire_from:
+                # Parked waiting for a surviving device: the failover/
+                # re-placement stall the critical path should show.
+                tracer.record(
+                    thread.trace_ctx, "migration.stall", "migration-stall",
+                    acquire_from, env.now, attempt=attempts + 1,
+                )
             if hedges is not None:
-                self._trace_hedges(tracer, trace_ctxs, records, hedges)
+                # A replica may have finished while this driver was
+                # parked mid-failover: adopt its win instead of
+                # re-running from the checkpoint.
+                win = hedges.claim_win(app_id)
+                if win is not None:
+                    self._adopt_win(record, win)
+                    break
+            if fdev is None:
+                terminal("device-lost")
+                break
+            if fleet.shed_unfinishable and unfinishable(env.now, deadline):
+                # Deadline propagation at admission: do not start
+                # (or restart) work that can no longer finish.
+                terminal("shed-deadline")
+                break
+            if self.probe is not None and self.probe.shed_class(
+                record.type_name
+            ):
+                # Level-2 brownout: low-priority classes are dropped
+                # at their next admission point.
+                terminal("shed-brownout")
+                break
+            if pending_reexec is not None:
+                record.migrations += 1
+                record.reexecuted_kernels += pending_reexec
+                pending_reexec = None
+            self._bind(thread, fdev)
+            attempts += 1
+            record.attempts = attempts
+            # Level >= 1 brownouts narrow per-device admission width
+            # so running attempts stop time-sharing with the backlog.
+            gate = self.ladder.gates[fdev.index] if self.ladder else None
+            holding = False
+            try:
+                if gate is not None:
+                    gate_from = env.now
+                    yield from gate.acquire()
+                    holding = True
+                    if tracer is not None and env.now > gate_from:
+                        tracer.record_leaf(
+                            thread.trace_ctx, "brownout.gate",
+                            "admission-limiter", gate_from, env.now,
+                        )
+                yield from thread.run_attempt()
+            except _ShedWork:
+                terminal("shed-deadline")
+                break
+            except Interrupt as exc:
+                cause = exc.cause
+                if isinstance(cause, HedgeWin):
+                    self._adopt_win(record, cause)
+                    break
+                if not isinstance(cause, DeviceLost):
+                    raise
+                pending_reexec = thread.note_device_lost(cause)
+                if not fleet.checkpoint:
+                    pending_reexec += thread.restart_from_scratch()
+                continue
+            except FaultError:
+                fault_failures += 1
+                record.faults_detected += 1
+                if fault_failures >= fleet.max_attempts:
+                    terminal("failed")
+                    break
+                if fleet.shed_unfinishable and unfinishable(
+                    env.now, deadline
+                ):
+                    terminal("shed-deadline")
+                    break
+                if budget is not None and not budget.try_spend(
+                    record.type_name, env.now
+                ):
+                    # The attempt cap would allow a retry, but the
+                    # shared budget is empty: shed, don't amplify.
+                    record.retries_denied += 1
+                    terminal("retry-budget")
+                    break
+                record.retries += 1
+                thread.reset_attempt()
+                if not fleet.checkpoint:
+                    thread.restart_from_scratch()
+                if backoff_rng is not None:
+                    delay = fleet.retry_backoff.delay(
+                        fault_failures, backoff_rng
+                    )
+                    if delay > 0:
+                        backoff_from = env.now
+                        yield env.timeout(delay)
+                        if tracer is not None:
+                            tracer.record(
+                                thread.trace_ctx, "retry.backoff",
+                                "retry-backoff", backoff_from, env.now,
+                                attempt=attempts,
+                            )
+                continue
+            finally:
+                if holding:
+                    gate.release()
+            # The attempt finished cleanly — but did it finish in
+            # time?  A late completion is worthless to its client.
+            if deadline is not None and env.now > deadline:
+                if fleet.shed_unfinishable or attempts >= fleet.max_attempts:
+                    terminal("deadline-missed")
+                    break
+                if budget is not None and not budget.try_spend(
+                    record.type_name, env.now
+                ):
+                    record.retries_denied += 1
+                    terminal("deadline-missed")
+                    break
+                # Uncontained client behaviour: the response arrived
+                # too late, so the whole request is re-submitted from
+                # scratch — the deadline-driven retry storm that
+                # containment exists to break.
+                record.retries += 1
+                thread.reset_attempt()
+                record.reexecuted_kernels += thread.restart_from_scratch()
+                continue
+            record.outcome = "completed"
+            break
+        coordinator.note_warmed(app_id)
+        if hedges is not None:
+            # Terminal either way: a still-racing replica stands down.
+            hedges.primary_terminal(app_id)
+        coordinator.note_done(app_id)
+        # Tokenless on purpose: a "device-lost" terminal outcome is
+        # legitimately written after the generation advanced.
+        self.fenced.record(
+            {
+                "event": "app",
+                "app": app_id,
+                "outcome": record.outcome,
+                "device": record.device_index,
+                "migrations": record.migrations,
+                "reexec": record.reexecuted_kernels,
+                "complete": record.complete_time,
+            }
+        )
 
+    def _trace_hedges(self) -> None:
+        """Convert the hedge manager's event log into trace spans.
+
+        Each ``hedge`` / ``hedge-done`` pair becomes one ``hedge`` span
+        on the primary app's trace (launch -> win/cancel).  Every launch
+        has its ``hedge-done`` by now: a driver settles its replica
+        before it returns, and a crashed run never gets here.
+        """
+        ctx_of = {t.app.app_id: t.trace_ctx for t in self.threads}
+        launches = {}
+        for event in self.hedges.events:
+            key = (event["app"], event["replica"])
+            if event["event"] == "hedge":
+                launches[key] = event
+                continue
+            launch = launches.pop(key)
+            self.tracer.record(
+                ctx_of[event["app"]], "hedge.replica", "hedge",
+                launch["t"], event["t"],
+                replica=event["replica"],
+                winner=event["winner"],
+                duplicates=event["dup"],
+            )
+
+    # -- measure -----------------------------------------------------------
+
+    def _result(self) -> FleetResult:
+        """Per-device summaries and fleet totals of the finished run."""
+        records = self.records
+        registry = self.registry
+        coordinator = self.coordinator
+        storm = coordinator.storm
+        hedges = self.hedges
+        probe = self.probe
+        budget = self.budget
         span = makespan(records)
         t0 = min(r.spawn_time for r in records)
         t1 = max(r.complete_time for r in records)
@@ -868,95 +869,37 @@ class FleetHarness:
                 for r in records
                 if r.app_id in recovery["apps"]
             )
+        journal_path = self.harness.journal_path
         return FleetResult(
-            fleet=fleet,
+            fleet=self.fleet,
             records=records,
             makespan=span,
-            total_time=env.now,
+            total_time=self.env.now,
             energy=total_energy,
             average_power=total_energy / span if span > 0 else 0.0,
             peak_power=peak,
             devices=summaries,
-            health_events=monitor.events,
+            health_events=self.monitor.events,
             recoveries=coordinator.recoveries,
-            checkpoints=store.snapshots,
-            recovered_entries=recovered,
-            resumed=self.resume,
-            fence_advances=fence.advances,
+            checkpoints=self.store.snapshots,
+            recovered_entries=self.recovered,
+            resumed=self.harness.resume,
+            fence_advances=self.fence.advances,
             stale_writes_rejected=coordinator.stale_writes_rejected,
             hedges_launched=hedges.hedges_launched if hedges else 0,
             hedge_wins=hedges.hedge_wins if hedges else 0,
             duplicate_kernels=hedges.duplicate_kernels if hedges else 0,
             hedge_events=list(hedges.events) if hedges else [],
-            storm_queued=(
-                coordinator.storm.queued_total if coordinator.storm else 0
-            ),
-            storm_released=(
-                coordinator.storm.released_total if coordinator.storm else 0
-            ),
-            storm_failed=(
-                coordinator.storm.failed_total if coordinator.storm else 0
-            ),
-            storm_peak_depth=(
-                coordinator.storm.peak_depth if coordinator.storm else 0
-            ),
+            storm_queued=storm.queued_total if storm else 0,
+            storm_released=storm.released_total if storm else 0,
+            storm_failed=storm.failed_total if storm else 0,
+            storm_peak_depth=storm.peak_depth if storm else 0,
             retry_budget_granted=budget.granted_total if budget else 0,
             retry_budget_denied=budget.denied_total if budget else 0,
             metastable_windows=probe.metastable_windows if probe else 0,
             brownout_level=probe.level if probe else 0,
             brownout_events=list(probe.events) if probe else [],
             goodput_windows=list(probe.windows) if probe else [],
-            journal_file=(
-                str(self.journal_path)
-                if self.journal_path is not None
-                else None
-            ),
-            telemetry=telemetry,
+            journal_file=str(journal_path) if journal_path else None,
+            telemetry=self.harness.telemetry,
         )
-
-    @staticmethod
-    def _trace_hedges(tracer, trace_ctxs, records, hedges) -> None:
-        """Convert the hedge manager's event log into trace spans.
-
-        Each ``hedge`` / ``hedge-done`` pair becomes one ``hedge`` span
-        on the primary app's trace (launch -> win/cancel); a launch with
-        no terminal event (crashed run) becomes an instant.
-        """
-        ctx_of = {
-            r.app_id: trace_ctxs.get(r.launch_index) for r in records
-        }
-        open_hedges = {}
-        for event in hedges.events:
-            ctx = ctx_of.get(event["app"])
-            if ctx is None:
-                continue
-            key = (event["app"], event["replica"])
-            if event["event"] == "hedge":
-                open_hedges[key] = event
-            elif event["event"] == "hedge-done" and key in open_hedges:
-                launch = open_hedges.pop(key)
-                tracer.record(
-                    ctx, "hedge.replica", "hedge",
-                    launch["t"], event["t"],
-                    replica=event["replica"],
-                    winner=event["winner"],
-                    duplicates=event["dup"],
-                )
-        for key, launch in open_hedges.items():
-            ctx = ctx_of.get(launch["app"])
-            if ctx is not None:
-                tracer.instant(
-                    ctx, "hedge.launch", "hedge", launch["t"],
-                    replica=launch["replica"],
-                )
-
-
-def _fresh_checkpoint(app_id: str):
-    from .checkpoint import AppCheckpoint
-
-    return AppCheckpoint(app_id=app_id)
-
-
-def run_fleet(apps: Sequence[KernelApp], **kwargs) -> FleetResult:
-    """One-call convenience wrapper over :class:`FleetHarness`."""
-    return FleetHarness(apps, **kwargs).run()

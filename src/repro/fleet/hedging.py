@@ -50,6 +50,7 @@ from .checkpoint import AppCheckpoint
 from .thread import FleetAppThread
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..integrity.fencing import FencedJournal, GenerationFence
     from ..resilience.degradation import ConcurrencyLadder
     from ..resilience.gray import StragglerDetector
     from ..sim.engine import Environment
@@ -138,8 +139,8 @@ class HedgeManager(Poller):
         detector: "StragglerDetector",
         *,
         total_kernels: Dict[str, int],
-        journal=None,
-        fence=None,
+        journal: "FencedJournal",
+        fence: "GenerationFence",
         budget=None,
         ladder: Optional["ConcurrencyLadder"] = None,
     ) -> None:
@@ -219,7 +220,7 @@ class HedgeManager(Poller):
             ):
                 continue
             fdev = thread.fdev
-            if fdev is None or fdev.lost:
+            if fdev.lost:
                 continue
             if not self.detector.is_straggler(fdev.index):
                 continue
@@ -301,10 +302,9 @@ class HedgeManager(Poller):
         rthread.detector = self.detector
         fdev = self.registry.devices[target]
         rthread.bind(fdev)
-        token = self.fence.token(target) if self.fence is not None else None
+        token = self.fence.token(target)
         rthread.fence_token = token
-        if token is not None:
-            fork.generation = token.generation
+        fork.generation = token.generation
 
         hedge = Hedge(
             app_id=app_id,
@@ -330,8 +330,7 @@ class HedgeManager(Poller):
             "t": now,
         }
         self.events.append(dict(entry))
-        if self.journal is not None:
-            self.journal.record(entry, token=token)
+        self.journal.record(entry, token=token)
 
         hedge.proc = self.env.process(
             self._replica_body(hedge),
@@ -378,8 +377,6 @@ class HedgeManager(Poller):
         replica's bind-time token, so replay sees the same write order
         and a replica on a since-lost device is fenced off.
         """
-        if self.journal is None:
-            return
         snapshot = dataclasses.replace(rthread.checkpoint)
         self.journal.record(snapshot.as_entry(), token=rthread.fence_token)
 
@@ -448,10 +445,9 @@ class HedgeManager(Poller):
             "t": self.env.now,
         }
         self.events.append(dict(entry))
-        if self.journal is not None:
-            # Tokenless on purpose: the outcome record is legitimate even
-            # after the replica's (or primary's) device generation moved.
-            self.journal.record(entry)
+        # Tokenless on purpose: the outcome record is legitimate even
+        # after the replica's (or primary's) device generation moved.
+        self.journal.record(entry)
 
     # -- primary-side hooks ------------------------------------------------
 
@@ -471,8 +467,7 @@ class HedgeManager(Poller):
 
     def _device_down(self, index: int, now: float) -> None:
         """Ground-truth loss: interrupt replicas racing on the device."""
-        if self._chained_down is not None:
-            self._chained_down(index, now)
+        self._chained_down(index, now)
         for hedge in list(self.active.values()):
             if hedge.target != index:
                 continue
@@ -485,11 +480,7 @@ class HedgeManager(Poller):
         """Free every replica's device memory (parent thread, end of run)."""
         for hedge in self.all_hedges:
             rthread = hedge.thread
-            if (
-                rthread.bound_device is not None
-                and rthread.fdev is not None
-                and not rthread.fdev.lost
-            ):
+            if rthread.bound_device is not None and not rthread.fdev.lost:
                 yield from rthread.app.free_device_memory(rthread.ctx)
             else:
                 rthread.ctx.device_allocations.clear()

@@ -32,32 +32,19 @@ wakes the parked driver — exactly the code path immediate migration used.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..sim.process import Poller
 from .config import StormControlConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..integrity.fencing import FencedJournal
 
 __all__ = ["MigrationQueue"]
 
 #: Sort placeholder for apps without a deadline (migrate after all
 #: deadline-bearing work).
 _NO_DEADLINE = float("inf")
-
-
-class _Entry:
-    __slots__ = ("app_id", "from_device", "deadline", "kernels", "enqueued")
-
-    def __init__(self, app_id, from_device, deadline, kernels, enqueued):
-        self.app_id = app_id
-        self.from_device = from_device
-        self.deadline = deadline
-        self.kernels = kernels
-        self.enqueued = enqueued
-
-    @property
-    def priority(self) -> Tuple[float, int, str]:
-        deadline = _NO_DEADLINE if self.deadline is None else self.deadline
-        return (deadline, self.kernels, self.app_id)
 
 
 class MigrationQueue(Poller):
@@ -77,8 +64,9 @@ class MigrationQueue(Poller):
         ``failover`` journal entry, waiter wake-up).  ``target`` is
         ``None`` only when no healthy device remains: the app fails.
     journal:
-        Optional fenced journal for ``migration-queued`` decisions
-        (recorded tokenless — queueing is legitimate in any generation).
+        The run's fenced journal, with or without a file behind it:
+        every ``migration-queued`` decision goes through it, tokenless
+        (queueing is legitimate in any generation).
     """
 
     def __init__(
@@ -88,14 +76,16 @@ class MigrationQueue(Poller):
         *,
         candidates: Callable[[], List[Tuple[int, int]]],
         release: Callable[[str, Optional[int]], None],
-        journal=None,
+        journal: "FencedJournal",
     ) -> None:
         super().__init__(env, config.pace_interval, "migration-pacer")
         self.config = config
         self.candidates = candidates
         self.release = release
         self.journal = journal
-        self._queue: List[_Entry] = []
+        #: Queued apps as ``(deadline, checkpointed kernels, app id)``:
+        #: sorted, they are in release order (app ids are unique here).
+        self._queue: List[Tuple[float, int, str]] = []
         #: Recovery slots in use, per surviving device.
         self._inflight: Dict[int, int] = {}
         #: app -> device whose recovery slot it holds.
@@ -104,8 +94,6 @@ class MigrationQueue(Poller):
         self.released_total = 0
         self.failed_total = 0
         self.peak_depth = 0
-        #: Sum of simulated seconds spent queued (for mean-wait stats).
-        self.total_wait = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -139,26 +127,26 @@ class MigrationQueue(Poller):
         previous migration is freed first.
         """
         self.free_slot(app_id)
-        entry = _Entry(
-            app_id, from_device, deadline, checkpoint_kernels, self.env.now
+        self._queue.append(
+            (
+                _NO_DEADLINE if deadline is None else deadline,
+                checkpoint_kernels,
+                app_id,
+            )
         )
-        self._queue.append(entry)
         self.queued_total += 1
         self.peak_depth = max(self.peak_depth, len(self._queue))
-        if self.journal is not None:
-            self.journal.record(
-                {
-                    "event": "migration-queued",
-                    "app": app_id,
-                    "from": from_device,
-                    "deadline": (
-                        -1.0 if deadline is None else float(deadline)
-                    ),
-                    "kernels": checkpoint_kernels,
-                    "depth": len(self._queue),
-                    "t": self.env.now,
-                }
-            )
+        self.journal.record(
+            {
+                "event": "migration-queued",
+                "app": app_id,
+                "from": from_device,
+                "deadline": -1.0 if deadline is None else float(deadline),
+                "kernels": checkpoint_kernels,
+                "depth": len(self._queue),
+                "t": self.env.now,
+            }
+        )
 
     def free_slot(self, app_id: str) -> None:
         """Release the recovery slot ``app_id`` holds, if any.
@@ -203,22 +191,20 @@ class MigrationQueue(Poller):
         """
         released = 0
         if self._queue and not self.candidates():
-            for entry in sorted(self._queue, key=lambda e: e.priority):
-                self.total_wait += self.env.now - entry.enqueued
+            for _, _, app_id in sorted(self._queue):
                 self.failed_total += 1
-                self.release(entry.app_id, None)
+                self.release(app_id, None)
             self._queue.clear()
             return 0
         while self._queue:
             target = self._pick_target()
             if target is None:
                 break
-            self._queue.sort(key=lambda e: e.priority)
-            entry = self._queue.pop(0)
+            self._queue.sort()
+            _, _, app_id = self._queue.pop(0)
             self._inflight[target] = self._inflight.get(target, 0) + 1
-            self._slot_of[entry.app_id] = target
-            self.total_wait += self.env.now - entry.enqueued
+            self._slot_of[app_id] = target
             self.released_total += 1
-            self.release(entry.app_id, target)
+            self.release(app_id, target)
             released += 1
         return released

@@ -11,8 +11,8 @@ AppThread` plays in the single-device harness, with three additions:
   an abandoned device) are ignored.
 * **phase-boundary snapshots** — after each phase the thread synchronizes
   the stream, surfaces any command fault, harvests metrics and durably
-  snapshots the checkpoint (journaled by the harness when a journal is
-  attached).
+  snapshots the checkpoint (written by the harness through the run's
+  fenced journal).
 * **re-binding** — an attempt may start on a different device than the
   previous one: device memory is re-allocated there and the checkpoint's
   cumulative HtoD payload is re-uploaded in one burst before execution
@@ -58,7 +58,7 @@ class FleetAppThread:
         app: KernelApp,
         record: AppRecord,
         checkpoint: AppCheckpoint,
-        on_checkpoint: Optional[Callable[["FleetAppThread"], None]] = None,
+        on_checkpoint: Callable[["FleetAppThread"], None],
     ) -> None:
         self.env = env
         self.app = app
@@ -71,6 +71,9 @@ class FleetAppThread:
         #: :mod:`repro.integrity.fencing`).  Checkpoint writes present it
         #: so post-failover stale writes are rejected, not interleaved.
         self.fence_token = None
+        #: Root span context of the app's causal trace (set by the
+        #: harness when the run is traced).
+        self.trace_ctx = None
         #: Device index the app's device allocations currently live on;
         #: ``None`` forces (re-)allocation at the next attempt.
         self.bound_device: Optional[int] = None
@@ -117,9 +120,7 @@ class FleetAppThread:
         without device bookkeeping.
         """
         ctx = self.ctx
-        if self.bound_device is None or (
-            self.fdev is not None and self.fdev.lost
-        ):
+        if self.bound_device is None or self.fdev.lost:
             ctx.device_allocations.clear()
         else:
             yield from self.app.free_device_memory(ctx)
@@ -167,8 +168,7 @@ class FleetAppThread:
                 ckpt.copy_index = 0
                 ckpt.kernel_index = 0
                 ckpt.time = env.now
-                if self.on_checkpoint is not None:
-                    self.on_checkpoint(self)
+                self.on_checkpoint(self)
             # Final cudaStreamSynchronize (mirrors AppThread.run).
             yield ctx.stream.synchronize_event()
             self._check_faults()

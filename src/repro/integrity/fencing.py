@@ -113,10 +113,12 @@ class GenerationFence:
 class FencedJournal:
     """Journal decorator that enforces fencing tokens on writes.
 
-    Wraps any ``record(entry)`` duck type (``RunJournal`` in practice).
-    Tokened writes are validated against the fence before they touch the
-    file; tokenless writes pass through for record types that are
-    legitimate after a loss.  Rejections are swallowed into
+    Wraps any ``record(entry)`` duck type (``RunJournal`` in practice),
+    or ``None``: a run without a journal file still fences, so a stale
+    write is counted whether or not there is a file it could have
+    reached.  Tokened writes are validated against the fence before they
+    touch the file; tokenless writes pass through for record types that
+    are legitimate after a loss.  Rejections are swallowed into
     :attr:`rejected` when ``strict`` is off (the fleet harness's mode:
     the stale writer is about to be migrated anyway, its write must
     simply not land) or re-raised when ``strict`` is on (tests, and any
@@ -142,7 +144,8 @@ class FencedJournal:
                 if self.strict:
                     raise
                 return
-        self.journal.record(entry)
+        if self.journal is not None:
+            self.journal.record(entry)
 
     # Pass the rest of the journal surface through untouched.
 
@@ -153,4 +156,5 @@ class FencedJournal:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.journal.close()
+        if self.journal is not None:
+            self.journal.close()

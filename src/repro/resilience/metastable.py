@@ -24,11 +24,11 @@ per device, and its levels are the **brownout** levels:
   at their next admission point instead of queued.
 
 Recovery is symmetric: ``recover_windows`` consecutive healthy windows
-step the ladder back down.  The probe journals every step it takes
-(through the run's fenced journal when one is attached) and mirrors it
-into an events list, in the same style as every prior decision-making
-subsystem; with ``BrownoutConfig`` absent neither the probe nor the
-ladder is constructed and results are byte-identical.
+step the ladder back down.  The probe writes every step it takes to
+the run's fenced journal (which reaches a file only when the run has
+one) and mirrors it into an events list, in the same style as every
+prior decision-making subsystem; with ``BrownoutConfig`` absent neither
+the probe nor the ladder is constructed and results are byte-identical.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Callable, List, Tuple
 from ..sim.process import Poller
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..integrity.fencing import FencedJournal
     from ..sim.engine import Environment
     from .degradation import ConcurrencyLadder
 
@@ -124,9 +125,9 @@ class MetastabilityProbe(Poller):
         probe steps one level up per tripped window run and one level
         down per recovered one; its top level is the brownout ceiling.
     journal:
-        Optional fenced journal; every ladder step the probe takes is
-        recorded tokenless (a brownout decision is legitimate in any
-        generation).
+        The run's fenced journal, with or without a file behind it;
+        every ladder step the probe takes is recorded tokenless (a
+        brownout decision is legitimate in any generation).
     """
 
     def __init__(
@@ -136,7 +137,7 @@ class MetastabilityProbe(Poller):
         healthy_devices: Callable[[], int],
         ladder: "ConcurrencyLadder",
         *,
-        journal=None,
+        journal: "FencedJournal",
     ) -> None:
         super().__init__(env, config.window, "metastability-probe")
         self.config = config
@@ -237,7 +238,6 @@ class MetastabilityProbe(Poller):
             "t": now,
         }
         self.events.append(dict(entry))
-        if self.journal is not None:
-            # Tokenless on purpose: a ladder decision is legitimate no
-            # matter which device generations advanced around it.
-            self.journal.record(entry)
+        # Tokenless on purpose: a ladder decision is legitimate no
+        # matter which device generations advanced around it.
+        self.journal.record(entry)

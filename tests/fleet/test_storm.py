@@ -15,6 +15,7 @@ from repro.fleet import (
     StormControlConfig,
     TopologyConfig,
 )
+from repro.integrity import FencedJournal, GenerationFence
 from repro.resilience.faults import FaultPlan
 from repro.sim.engine import Environment
 
@@ -36,6 +37,7 @@ class TestMigrationQueueUnit:
             cfg,
             candidates=lambda: candidates,
             release=lambda app, target: released.append((app, target)),
+            journal=FencedJournal(None, GenerationFence()),
         )
         return env, queue, released
 

@@ -86,6 +86,23 @@ class TestFencedJournal:
             assert fenced.rejected == 0
         assert len((tmp_path / "j.jsonl").read_bytes().splitlines()) == 2
 
+    def test_fences_without_a_journal_file(self, tmp_path, monkeypatch):
+        # A fleet run without a journal path still fences every write:
+        # current and tokenless writes pass, a stale one is counted and
+        # dropped, and nothing reaches disk.
+        monkeypatch.chdir(tmp_path)
+        fence = GenerationFence()
+        with FencedJournal(None, fence) as fenced:
+            old = fence.token(0)
+            fenced.record({"event": "checkpoint", "n": 1}, token=old)
+            fence.advance(0)
+            fenced.record({"event": "device-lost", "device": 0})
+            fenced.record({"event": "checkpoint", "n": 2}, token=old)
+            fenced.record({"event": "checkpoint", "n": 3}, token=fence.token(0))
+            assert fenced.rejected == fence.rejected == 1
+            assert fenced.rejections == [{"event": "checkpoint", "n": 2}]
+        assert list(tmp_path.iterdir()) == []
+
     def test_strict_mode_raises(self, tmp_path):
         fence = GenerationFence()
         stale = fence.token(0)

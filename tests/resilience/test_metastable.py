@@ -10,6 +10,7 @@ metastable), shedding, and the observational defaults.
 
 import pytest
 
+from repro.integrity import FencedJournal, GenerationFence
 from repro.resilience import (
     BrownoutConfig,
     ConcurrencyLadder,
@@ -28,6 +29,11 @@ def ladder_for(env, config, width=4):
     return ConcurrencyLadder(env, (width,) + (narrow,) * config.max_level)
 
 
+def unfiled():
+    """A fenced journal with no file behind it, as fleet runs have."""
+    return FencedJournal(None, GenerationFence())
+
+
 def make(env, healthy=4, **overrides):
     cfg = dict(
         window=WINDOW,
@@ -40,7 +46,8 @@ def make(env, healthy=4, **overrides):
     cfg.update(overrides)
     config = BrownoutConfig(**cfg)
     return MetastabilityProbe(
-        env, config, lambda: healthy, ladder_for(env, config)
+        env, config, lambda: healthy, ladder_for(env, config),
+        journal=unfiled(),
     )
 
 
@@ -123,7 +130,8 @@ class TestWindowAccounting:
         healthy = [4]
         config = BrownoutConfig(window=WINDOW, floor=0.5, per_device_rate=1000.0)
         probe = MetastabilityProbe(
-            env, config, lambda: healthy[0], ladder_for(env, config)
+            env, config, lambda: healthy[0], ladder_for(env, config),
+            journal=unfiled(),
         )
 
         def driver():
