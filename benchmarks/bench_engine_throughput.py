@@ -6,15 +6,24 @@ one fresh simulation and returns ``(environment, checked value)``.
 
 Under pytest they are genuine pytest-benchmark measurements (multiple
 rounds).  Run as a script, the module times each body five times, takes
-the least CPU time, and appends simulated events per CPU second for
-each body to ``BENCH_engine.json`` at the repo root::
+the least CPU time, and runs each body once more under ``cProfile``.  It
+appends two numbers per body to ``BENCH_engine.json`` at the repo root:
+simulated events per CPU second (``<body>.events_per_s``) and Python
+calls per simulated event (``<body>.calls_per_event``)::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py
+
+The call count is deterministic for one interpreter version, so it
+resolves a change to the hot path far below the timing noise; compare
+it only between points measured on the same interpreter.
 """
 
 from __future__ import annotations
 
+import cProfile
+import gc
 import json
+import pstats
 import sys
 import time
 from pathlib import Path
@@ -138,11 +147,26 @@ def events_per_cpu_second(body: Body, repeats: int = SCRIPT_REPEATS) -> float:
     return events / best
 
 
+def calls_per_event(body: Body) -> float:
+    """Python calls, counted by ``cProfile``, per simulated event of one
+    ``body`` run.
+
+    Collects garbage first: a finished run leaves its copy engines'
+    service generators suspended, and closing them counts as calls.
+    """
+    gc.collect()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    env, _ = body()
+    profiler.disable()
+    return pstats.Stats(profiler).total_calls / env.events_processed
+
+
 def main() -> int:
-    metrics = {
-        f"{name}.events_per_s": events_per_cpu_second(body)
-        for name, body in BODIES.items()
-    }
+    metrics = {}
+    for name, body in BODIES.items():
+        metrics[f"{name}.events_per_s"] = events_per_cpu_second(body)
+        metrics[f"{name}.calls_per_event"] = calls_per_event(body)
     record_trajectory_point(TRAJECTORY_PATH, "bench_engine_throughput", metrics)
     print(json.dumps(metrics, sort_keys=True))
     return 0

@@ -28,7 +28,7 @@ from ..gpu.commands import (
 )
 from ..gpu.device import GPUDevice
 from ..gpu.specs import HostSpec
-from ..sim.events import AllOf
+from ..sim.events import PENDING, AllOf
 from .kernel import (
     HostComputePhase,
     KernelApp,
@@ -233,13 +233,14 @@ class AppThread:
         self.record.kernels.clear()
 
     def _check_faults(self) -> None:
-        """Raise the first recorded command failure of this attempt."""
+        """Raise the first recorded command failure of this attempt
+        (only :meth:`Event.fail` clears ``_ok``)."""
         for cmd in self.ctx.kernel_commands:
-            if cmd.done.triggered and not cmd.done.ok:
-                raise cmd.done.value
+            if not cmd.done._ok:
+                raise cmd.done._value
         for cmd in self.ctx.memcpy_commands:
-            if cmd.done.triggered and not cmd.done.ok:
-                raise cmd.done.value
+            if not cmd.done._ok:
+                raise cmd.done._value
 
     def _run_transfer_phase(self, phase: TransferPhase):
         """One transfer phase, with or without the paper's mutex."""
@@ -284,34 +285,27 @@ class AppThread:
             self.tracer.record_leaf(self.trace_ctx, name, category, start, end)
 
     def _harvest(self) -> None:
-        """Convert completed commands into metric events."""
+        """Convert completed commands (``done`` succeeded) into records."""
         record = self.record
+        transfers = record.transfers
         for cmd in self.ctx.memcpy_commands:
-            if not cmd.done.triggered or not cmd.done.ok:
+            done = cmd.done
+            if done._value is PENDING or not done._ok:
                 continue  # app failed mid-flight; keep only completed work
-            record.transfers.append(
-                TransferEvent(
-                    direction=cmd.direction,
-                    nbytes=cmd.nbytes,
-                    buffer=cmd.buffer,
-                    enqueued=cmd.enqueue_time,
-                    started=cmd.started.value,
-                    completed=cmd.done.value,
-                )
-            )
+            transfers.append(TransferEvent(
+                cmd.direction, cmd.nbytes, cmd.buffer, cmd.enqueue_time,
+                cmd.started._value, done._value,
+            ))
+        kernels = record.kernels
         for cmd in self.ctx.kernel_commands:
-            if not cmd.done.triggered or not cmd.done.ok:
+            done = cmd.done
+            if done._value is PENDING or not done._ok:
                 continue
-            record.kernels.append(
-                KernelEvent(
-                    name=cmd.descriptor.name,
-                    num_blocks=cmd.descriptor.num_blocks,
-                    enqueued=cmd.enqueue_time,
-                    started=cmd.started.value,
-                    completed=cmd.done.value,
-                    waves=cmd.waves,
-                )
-            )
+            descriptor = cmd.descriptor
+            kernels.append(KernelEvent(
+                descriptor.name, descriptor.num_blocks, cmd.enqueue_time,
+                cmd.started._value, done._value, cmd.waves,
+            ))
         if self.tracer is not None:
             self._harvest_spans()
 

@@ -21,7 +21,7 @@ app-specific branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, Tuple
 
 from ..gpu.commands import CopyDirection
 from ..gpu.kernels import KernelDescriptor
@@ -201,6 +201,10 @@ class AppProfile:
         return total
 
 
+#: (app class, sorted keyword items) -> the profile its instances share.
+_SHARED_PROFILES: Dict[Tuple[type, tuple], AppProfile] = {}
+
+
 class KernelApp:
     """Base class for applications driven by the test harness.
 
@@ -256,13 +260,15 @@ class KernelApp:
 
     def execute_kernel(self, ctx: "AppContext", phase: KernelPhase) -> Generator:
         """Enqueue the phase's kernel launches in order (async)."""
+        host = ctx.host_spec
+        launch_cost = host.api_call_overhead + host.kernel_launch_overhead
+        timeout = ctx.env.timeout
+        enqueue = ctx.stream.enqueue_kernel
+        launched = ctx.kernel_commands
+        app_id = self.app_id
         for descriptor in phase.descriptors:
-            yield ctx.env.timeout(
-                ctx.host_spec.api_call_overhead
-                + ctx.host_spec.kernel_launch_overhead
-            )
-            cmd = ctx.stream.enqueue_kernel(descriptor, app_id=self.app_id)
-            ctx.note_kernel(cmd)
+            yield timeout(launch_cost)
+            launched.append(enqueue(descriptor, app_id=app_id))
 
     def free_host_memory(self, ctx: "AppContext") -> Generator:
         """``cudaFreeHost`` for all host buffers."""
@@ -283,5 +289,13 @@ class KernelApp:
 
     @classmethod
     def create(cls, instance: int = 0, **kwargs) -> "KernelApp":
-        """Instantiate with a freshly built profile."""
-        return cls(cls.build_profile(**kwargs), instance=instance)
+        """Instantiate with the shared profile of this class and ``kwargs``.
+
+        The profile is built once per class and keyword set (keywords
+        must be hashable) and every such instance gets the same
+        :class:`AppProfile`; profiles are frozen, so sharing is safe.
+        """
+        key = (cls, tuple(sorted(kwargs.items())))
+        if key not in _SHARED_PROFILES:
+            _SHARED_PROFILES[key] = cls.build_profile(**kwargs)
+        return cls(_SHARED_PROFILES[key], instance=instance)

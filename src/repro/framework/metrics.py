@@ -14,14 +14,15 @@ implemented verbatim here.
 
 The same per-application record of copies and kernels is the run's only
 timeline store: :func:`record_timeline` derives the profiler view of
-Figures 1, 2 and 5 from it.
+Figures 1, 2 and 5 from it.  Its copies and kernels are named tuples,
+immutable and compared by value, one per completed command.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from ..gpu.commands import CopyDirection
 from ..sim.trace import Span, TraceRecorder
@@ -40,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransferEvent:
+class TransferEvent(NamedTuple):
     """One completed memcpy command of an application."""
 
     direction: CopyDirection
@@ -62,8 +62,7 @@ class TransferEvent:
         return self.started - self.enqueued
 
 
-@dataclass(frozen=True)
-class KernelEvent:
+class KernelEvent(NamedTuple):
     """One completed kernel launch of an application."""
 
     name: str

@@ -24,7 +24,8 @@ Implementation notes
   waits for blocks.
 * A pass walks only the grids that still have blocks to place, kept in
   arrival order beside the full in-flight list, so grids whose last
-  cohorts are merely running cost it nothing.
+  cohorts are merely running cost it nothing.  It pushes each placed
+  cohort's retirement straight onto the calendar.
 * An optional ``admission`` hook lets :mod:`repro.core.baselines` implement
   the symbiosis-style admission control the paper compares against (a grid
   is held back until the hook admits it).
@@ -36,7 +37,6 @@ Implementation notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappush
 from typing import Callable, List, Optional
 
@@ -58,30 +58,35 @@ def _succeed_on_calendar(cmd: KernelLaunchCommand) -> bool:
     return False
 
 
-@dataclass(eq=False)
 class GridState:
     """Book-keeping for one in-flight kernel launch.
 
     Compares by identity: two launches are never the same grid, and the
-    engine's list removals stay O(position) pointer checks.
+    engine's list removals stay O(position) pointer checks.  ``kernel``
+    is the launch's descriptor, stored once at construction.
     """
 
-    cmd: KernelLaunchCommand
-    to_place: int          # blocks not yet given to an SMX
-    outstanding: int = 0   # blocks currently resident
-    waves: int = 0         # scheduling passes that placed >= 1 block
-    admitted: bool = True  # admission-control gate (LEFTOVER: always True)
-    hang_factor: float = 1.0  # injected slowdown (1.0 = healthy grid)
+    __slots__ = (
+        "cmd", "kernel", "to_place", "outstanding", "waves", "admitted",
+        "hang_factor",
+    )
 
-    @property
-    def kernel(self) -> KernelDescriptor:
-        """The launch's kernel descriptor."""
-        return self.cmd.descriptor
-
-    @property
-    def finished(self) -> bool:
-        """All blocks placed and retired."""
-        return self.to_place == 0 and self.outstanding == 0
+    def __init__(
+        self,
+        cmd: KernelLaunchCommand,
+        to_place: int,
+        outstanding: int = 0,
+        waves: int = 0,
+        admitted: bool = True,
+        hang_factor: float = 1.0,
+    ) -> None:
+        self.cmd = cmd
+        self.kernel: KernelDescriptor = cmd.descriptor
+        self.to_place = to_place        # blocks not yet given to an SMX
+        self.outstanding = outstanding  # blocks currently resident
+        self.waves = waves              # scheduling passes that placed >= 1 block
+        self.admitted = admitted        # admission gate (LEFTOVER: always True)
+        self.hang_factor = hang_factor  # injected slowdown (1.0 = healthy grid)
 
 
 class _Pass(Event):
@@ -190,6 +195,9 @@ class GridEngine:
         self._unplaced: List[GridState] = []
         # Grids in ``_pending`` with resident blocks (outstanding > 0).
         self._executing = 0
+        # Block slots of the whole array: a pass's free slots are this
+        # less the array's resident blocks.
+        self._block_capacity = len(smx_array.smxs) * smx_array.spec.max_blocks
         self._retire_cb = self._retire
         self._pass_cb = self._run_pass
         self._pass_scheduled = False
@@ -231,7 +239,7 @@ class GridEngine:
             jitter = self.injector.clock_jitter(cmd.app_id, self.env.now)
             if jitter != 1.0:
                 hang_factor *= jitter
-        nblocks = cmd.descriptor.num_blocks
+        nblocks = cmd.descriptor._num_blocks
         grid = GridState(cmd=cmd, to_place=nblocks, hang_factor=hang_factor)
         if self.admission is not None:
             grid.admitted = False
@@ -264,8 +272,14 @@ class GridEngine:
         )
 
     def _run_pass(self, _evt: Optional[Event] = None) -> None:
+        """Place blocks of waiting grids, in arrival order, and push each
+        placed cohort's retirement onto the calendar."""
         self._pass_scheduled = False
-        now = self.env.now
+        env = self.env
+        now = env._now
+        smx = self.smx
+        injector = self.injector
+        q = self.retire_quantum
         changed = False
         placed_out = False
         # Pass-local count for the concurrent-grid limit: it starts from
@@ -273,7 +287,7 @@ class GridEngine:
         # first blocks in this pass.
         executing = self._executing
         # Fast path: with no free block slot anywhere, no kernel can place.
-        free_block_slots = self.smx.free_block_slots
+        free_block_slots = self._block_capacity - smx._resident_blocks
 
         for grid in self._unplaced:
             if free_block_slots == 0:
@@ -290,7 +304,8 @@ class GridEngine:
             if grid.outstanding == 0:
                 if executing >= self.max_concurrent_grids:
                     continue
-            placements = self.smx.place(grid.kernel, grid.to_place)
+            kernel = grid.kernel
+            placements = smx.place(kernel, grid.to_place)
             if not placements:
                 continue
             placed = 0
@@ -298,7 +313,7 @@ class GridEngine:
                 placed += placement.nblocks
             if grid.outstanding == 0:
                 self._executing += 1
-                if grid.to_place == grid.kernel.num_blocks:
+                if grid.to_place == kernel._num_blocks:
                     # First blocks of this launch.
                     grid.cmd.started.stamp(now)
                     executing += 1
@@ -310,70 +325,66 @@ class GridEngine:
             self.total_waves += 1
             free_block_slots -= placed
             changed = True
-            self._schedule_retirement(grid, placements, placed)
+
+            # The cohort retires after the kernel's block duration.
+            duration = kernel.block_duration * grid.hang_factor
+            if injector is not None:
+                # Gray SMX slowdown acts per *cohort*, not per launch: a
+                # window opening mid-kernel slows its remaining waves,
+                # which is what makes the degradation visible to latency
+                # stretch while DEVICE_THROTTLE stays a submit-time
+                # property.
+                slow = injector.smx_slowdown(now)
+                smx.speed_scale = slow
+                if slow != 1.0:
+                    duration *= slow
+            if q > 0:
+                # Round the absolute retirement instant up to the quantum
+                # so near-simultaneous cohorts coalesce into one pass.
+                target = now + duration
+                quantized = -(-target // q) * q  # ceil to the grid
+                duration = quantized - now
+            if duration < 0:
+                raise ScheduleError(f"negative delay {duration!r}")
+            heappush(
+                env._queue,
+                (
+                    now + duration,
+                    NORMAL,
+                    next(env._eid),
+                    _Retirement(env, grid, placements, placed, self._retire_cb),
+                ),
+            )
 
         if placed_out:
             self._unplaced = [g for g in self._unplaced if g.to_place]
         if changed and self.on_change is not None:
             self.on_change()
 
-    def _schedule_retirement(
-        self, grid: GridState, placements: List[Placement], placed: int
-    ) -> None:
-        """Arrange for a cohort to retire after the kernel's block duration."""
-        duration = grid.kernel.block_duration * grid.hang_factor
-        if self.injector is not None:
-            # Gray SMX slowdown acts per *cohort*, not per launch: a
-            # window opening mid-kernel slows its remaining waves, which
-            # is what makes the degradation visible to latency stretch
-            # while DEVICE_THROTTLE stays a submit-time property.
-            slow = self.injector.smx_slowdown(self.env.now)
-            self.smx.speed_scale = slow
-            if slow != 1.0:
-                duration *= slow
-        env = self.env
-        now = env._now
-        q = self.retire_quantum
-        if q > 0:
-            # Round the absolute retirement instant up to the quantum so
-            # near-simultaneous cohorts coalesce into one scheduling pass.
-            target = now + duration
-            quantized = -(-target // q) * q  # ceil to the grid
-            duration = quantized - now
-        if duration < 0:
-            raise ScheduleError(f"negative delay {duration!r}")
-        heappush(
-            env._queue,
-            (
-                now + duration,
-                NORMAL,
-                next(env._eid),
-                _Retirement(env, grid, placements, placed, self._retire_cb),
-            ),
-        )
-
     def _retire(self, evt: _Retirement) -> None:
-        """Give a retired cohort's resources back, then let grids place."""
+        """Give a retired cohort's resources back, then let grids place.
+
+        The cohort that retires a grid's last blocks completes its launch
+        through the settle hook.
+        """
         grid = evt.grid
         self.smx.release(grid.kernel, evt.placements)
         grid.outstanding -= evt.placed
         if grid.outstanding == 0:
             self._executing -= 1
-        if grid.finished and self._finish(grid):
-            # Settled inline: the device has updated power, and the pass
-            # below would have been the next event popped, so it runs
-            # now, or not at all when no grid waits for blocks.
-            if self._unplaced:
-                self._run_pass()
-            return
+            if grid.to_place == 0:
+                self._pending.remove(grid)
+                self.grids_completed += 1
+                cmd = grid.cmd
+                cmd.waves = grid.waves
+                if self._settle(cmd):
+                    # Settled inline: the device has updated power, and
+                    # the pass below would have been the next event
+                    # popped, so it runs now, or not at all when no grid
+                    # waits for blocks.
+                    if self._unplaced:
+                        self._run_pass()
+                    return
         if self.on_change is not None:
             self.on_change()
         self._request_pass()
-
-    def _finish(self, grid: GridState) -> bool:
-        """Complete a grid's launch; ``True`` if it settled inline."""
-        self._pending.remove(grid)
-        self.grids_completed += 1
-        cmd = grid.cmd
-        cmd.waves = grid.waves
-        return self._settle(cmd)

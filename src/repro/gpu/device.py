@@ -21,7 +21,7 @@ from the applications' records of those times after a run
 from __future__ import annotations
 
 from itertools import count
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..sim.engine import Environment
 from ..sim.events import AllOf, Event
@@ -34,7 +34,7 @@ from .commands import (
     MemcpyCommand,
 )
 from .dma import CopyEngine
-from .hyperq import QueueFabric
+from .hyperq import HardwareQueue, QueueFabric
 from .kernels import KernelDescriptor
 from .memory import MemoryAllocator
 from .power import PowerModel, PowerState
@@ -46,7 +46,7 @@ __all__ = ["DeviceStream", "GPUDevice"]
 
 def _calendar_clear(env: Environment) -> bool:
     """Whether no calendar event is due at or before ``env.now``."""
-    return env.peek() > env.now
+    return env.peek() > env._now
 
 
 def _too_many_resources(
@@ -87,6 +87,9 @@ class DeviceStream:
         self.sid = sid
         self.name = name or f"stream-{sid}"
         self._tail: Optional[Event] = None
+        #: The hardware queue this stream maps onto, looked up at its
+        #: first enqueue (a stream with no work claims no queue).
+        self._queue: Optional[HardwareQueue] = None
         self.commands_enqueued: int = 0
 
     def __repr__(self) -> str:
@@ -119,9 +122,9 @@ class DeviceStream:
         """
         smx = self.device.spec.smx
         if (
-            descriptor.threads_per_block > smx.max_threads
+            descriptor._threads_per_block > smx.max_threads
             or descriptor.shared_mem_per_block > smx.shared_memory
-            or descriptor.registers_per_block > smx.registers
+            or descriptor._registers_per_block > smx.registers
         ):
             raise _too_many_resources(descriptor, self.device.spec)
         cmd = KernelLaunchCommand(self.device.env, descriptor, app_id=app_id)
@@ -148,12 +151,6 @@ class DeviceStream:
             evt.succeed()
             return evt
         return self._tail
-
-    def _push_tail(self, cmd: Command) -> Optional[Event]:
-        prev = self._tail
-        self._tail = cmd.done
-        self.commands_enqueued += 1
-        return prev
 
 
 class GPUDevice:
@@ -230,6 +227,9 @@ class GPUDevice:
         # active-stream term).
         self._stream_inflight: Dict[int, int] = {}
         self._active_streams: int = 0
+        # One retire callback per stream id, built at its first dispatch.
+        self._retire_callbacks: Dict[int, Callable[[Event], None]] = {}
+        self._power_update = self.power.update
         # Statistics
         self.commands_issued: int = 0
 
@@ -252,35 +252,45 @@ class GPUDevice:
     # -- command plumbing ----------------------------------------------------
 
     def _enqueue(self, stream: DeviceStream, cmd: Command) -> None:
-        cmd.stream_id = stream.sid
-        cmd.enqueue_time = self.env.now
+        """Append ``cmd`` to its stream and hardware queue; it dispatches
+        when the unprocessed ``done`` of each predecessor has fired."""
+        sid = cmd.stream_id = stream.sid
+        cmd.enqueue_time = self.env._now
         self.commands_issued += 1
-        queue = self.fabric.queue_for_stream(stream.sid)
+        queue = stream._queue
+        if queue is None:
+            queue = stream._queue = self.fabric.queue_for_stream(sid)
         cmd.queue_id = queue.index
+        done = cmd.done
+        prev_stream = stream._tail
+        stream._tail = done
+        stream.commands_enqueued += 1
+        prev_queue = queue._tail
+        queue._tail = done
+        queue.depth_total += 1
 
-        deps: List[Event] = []
-        prev_stream = stream._push_tail(cmd)
-        if prev_stream is not None and prev_stream.callbacks is not None:
-            deps.append(prev_stream)
-        prev_queue = queue.push(cmd)
-        if (
+        on_stream = (
+            prev_stream is not None and prev_stream.callbacks is not None
+        )
+        on_queue = (
             prev_queue is not None
             and prev_queue is not prev_stream
             and prev_queue.callbacks is not None
-        ):
-            deps.append(prev_queue)
-
-        if not deps:
-            self._dispatch(cmd)
-        elif len(deps) == 1:
-            deps[0].callbacks.append(lambda _e, c=cmd: self._dispatch(c))
+        )
+        if on_stream and on_queue:
+            gate = AllOf(self.env, [prev_stream, prev_queue])
+        elif on_stream:
+            gate = prev_stream
+        elif on_queue:
+            gate = prev_queue
         else:
-            gate = AllOf(self.env, deps)
-            gate.callbacks.append(lambda _e, c=cmd: self._dispatch(c))
+            self._dispatch(cmd)
+            return
+        gate.callbacks.append(lambda _e, c=cmd: self._dispatch(c))
 
     def _dispatch(self, cmd: Command) -> None:
         """Route a dependency-free command to its engine."""
-        now = self.env.now
+        now = self.env._now
         cmd.ready.stamp(now)
         self._inflight += 1
         sid = cmd.stream_id
@@ -288,13 +298,16 @@ class GPUDevice:
         self._stream_inflight[sid] = prev + 1
         if prev == 0:
             self._active_streams += 1
-        cmd.done.callbacks.append(
-            lambda _e, s=sid: self._command_retired(s)
-        )
-        if isinstance(cmd, MemcpyCommand):
-            self.dma[cmd.direction].submit(cmd)
-        elif isinstance(cmd, KernelLaunchCommand):
+        retire = self._retire_callbacks.get(sid)
+        if retire is None:
+            retire = self._retire_callbacks[sid] = (
+                lambda _e, s=sid: self._command_retired(s)
+            )
+        cmd.done.callbacks.append(retire)
+        if isinstance(cmd, KernelLaunchCommand):
             self.grid_engine.submit(cmd)
+        elif isinstance(cmd, MemcpyCommand):
+            self.dma[cmd.direction].submit(cmd)
         elif isinstance(cmd, MarkerCommand):
             cmd.started.stamp(now)
             cmd.done.succeed(now)
@@ -322,10 +335,10 @@ class GPUDevice:
         # the launch, so a single callback is that one.
         if len(done.callbacks) == 1 and _calendar_clear(env):
             done.callbacks.clear()
-            done.stamp(env.now)
+            done.stamp(env._now)
             self._command_retired(cmd.stream_id)
             return True
-        done.succeed(env.now)
+        done.succeed(env._now)
         return False
 
     def _command_retired(self, stream_id: Optional[int]) -> None:
@@ -339,8 +352,8 @@ class GPUDevice:
     # -- power ------------------------------------------------------------------
 
     def _power_changed(self) -> None:
-        self.power.update(
-            self.smx.resident_threads,
+        self._power_update(
+            self.smx._resident_threads,
             self._htod.busy + self._dtoh.busy,
             self._inflight > 0,
             self._active_streams,

@@ -178,13 +178,13 @@ class CopyEngine:
                 )
                 if stretch != 1.0:
                     duration *= stretch
-            start = env.now
+            start = env._now
             cmd.started.stamp(start)
             self.busy = True
             if self.on_change is not None:
                 self.on_change()
             yield env.timeout(duration)
-            end = env.now
+            end = env._now
             self.busy = False
             self.commands_served += 1
             self.bytes_moved += cmd.nbytes

@@ -21,13 +21,17 @@ from typing import Dict, List, Optional
 
 from ..sim.engine import Environment
 from ..sim.events import Event
-from .commands import Command
 
 __all__ = ["HardwareQueue", "QueueFabric"]
 
 
 class HardwareQueue:
-    """One hardware work queue: a chain of completion dependencies."""
+    """One hardware work queue: a chain of completion dependencies.
+
+    The device appends a command by making its ``done`` event the new
+    tail; the command then waits on the previous tail
+    (:meth:`repro.gpu.device.GPUDevice._enqueue`).
+    """
 
     def __init__(self, env: Environment, index: int) -> None:
         self.env = env
@@ -35,13 +39,6 @@ class HardwareQueue:
         #: ``done`` event of the most recently enqueued command.
         self._tail: Optional[Event] = None
         self.depth_total: int = 0
-
-    def push(self, cmd: Command) -> Optional[Event]:
-        """Append ``cmd``; return the event it must wait on (or ``None``)."""
-        prev = self._tail
-        self._tail = cmd.done
-        self.depth_total += 1
-        return prev
 
     def __repr__(self) -> str:
         return f"<HardwareQueue {self.index}>"

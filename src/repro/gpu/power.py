@@ -151,7 +151,7 @@ class PowerModel:
             new_power = s.tdp
         if new_power == self._current_power:
             return
-        now = self.env.now
+        now = self.env._now
         dt = now - self._last_change
         if dt > 0:
             if self.retain_segments:

@@ -89,6 +89,13 @@ class TestInstantiation:
         with pytest.raises(ValueError):
             wl.instantiate([0, 1])
 
+    def test_pair_shares_one_profile_per_kind(self):
+        """32 apps of two kinds at one size hold exactly two profiles."""
+        wl = Workload.heterogeneous_pair("gaussian", "needle", 32, scale="tiny")
+        apps = wl.instantiate(wl.schedule(SchedulingOrder.ROUND_ROBIN))
+        assert len(apps) == 32
+        assert len({id(a.profile) for a in apps}) == 2
+
     def test_random_schedule_reproducible(self):
         wl = Workload.heterogeneous_pair("nn", "srad", 8, scale="tiny")
         s1 = wl.schedule(SchedulingOrder.RANDOM_SHUFFLE, rng=np.random.default_rng(5))

@@ -58,6 +58,22 @@ class TestLifecycle:
         assert record.transfers and record.kernels
         assert stream.completed_apps == [thread.app.app_id]
 
+    def test_kernel_record_reads_its_command(self, env, device):
+        thread, record = make_thread(env, device)
+        stream = Stream(env, device.create_stream(), 0)
+        env.run(until=env.process(thread.prepare()))
+        thread.assign_stream(stream)
+        env.run(until=env.process(thread.run()))
+        cmd = thread.ctx.kernel_commands[0]
+        assert record.kernels[0] == (
+            cmd.descriptor.name,
+            cmd.descriptor.num_blocks,
+            cmd.enqueue_time,
+            cmd.started.value,
+            cmd.done.value,
+            cmd.waves,
+        )
+
     def test_srad_in_loop_transfers_recorded(self, env, device):
         thread, record = make_thread(env, device, kind="srad")
         stream = Stream(env, device.create_stream(), 0)

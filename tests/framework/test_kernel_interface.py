@@ -111,3 +111,23 @@ class TestAppProfile:
     def test_build_profile_abstract(self):
         with pytest.raises(NotImplementedError):
             KernelApp.build_profile()
+
+
+class TestSharedProfiles:
+    """``KernelApp.create`` builds one profile per class and keywords."""
+
+    def test_equal_keywords_share_one_profile(self):
+        from repro.apps.gaussian import GaussianApp
+
+        a = GaussianApp.create(instance=0, n=48)
+        b = GaussianApp.create(instance=1, n=48)
+        assert a.profile is b.profile
+        assert (a.app_id, b.app_id) == ("gaussian#0", "gaussian#1")
+
+    def test_other_size_or_class_gets_another(self):
+        from repro.apps.gaussian import GaussianApp
+        from repro.apps.needle import NeedleApp
+
+        base = GaussianApp.create(n=64).profile
+        assert GaussianApp.create(n=128).profile is not base
+        assert NeedleApp.create(n=64).profile is not base

@@ -4,6 +4,7 @@ import pytest
 
 from repro.framework.metrics import (
     AppRecord,
+    KernelEvent,
     TransferEvent,
     average_effective_latency,
     effective_latency,
@@ -123,3 +124,31 @@ class TestMakespan:
     def test_wall_time(self):
         rec = record(start=2.0, end=7.5)
         assert rec.wall_time == pytest.approx(5.5)
+
+
+class TestEventRecords:
+    """Copy and kernel records are immutable values with derived times."""
+
+    def test_attribute_assignment_rejected(self):
+        copy = transfer(CopyDirection.HTOD, 0.5, 1.0, 3.0)
+        kernel = KernelEvent("k", 4, 0.5, 1.25, 3.0, 2)
+        with pytest.raises(AttributeError):
+            copy.nbytes = 0
+        with pytest.raises(AttributeError):
+            kernel.waves = 0
+
+    def test_properties_keep_their_formulas(self):
+        copy = transfer(CopyDirection.DTOH, 0.5, 1.0, 3.0)
+        assert copy.service_time == copy.completed - copy.started == 2.0
+        assert copy.queueing_delay == copy.started - copy.enqueued == 0.5
+        kernel = KernelEvent("k", 4, 0.5, 1.25, 3.0, 2)
+        assert kernel.execution_time == kernel.completed - kernel.started
+
+    def test_compare_by_value(self):
+        a = KernelEvent("k", 4, 0.5, 1.25, 3.0, 2)
+        b = KernelEvent(
+            name="k", num_blocks=4, enqueued=0.5, started=1.25,
+            completed=3.0, waves=2,
+        )
+        assert a == b and hash(a) == hash(b)
+        assert a != a._replace(waves=3)

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.gpu.commands import MarkerCommand
-from repro.gpu.hyperq import HardwareQueue, QueueFabric
+from repro.gpu.device import GPUDevice
+from repro.gpu.hyperq import QueueFabric
+from repro.gpu.kernels import Dim3, KernelDescriptor
+from repro.gpu.specs import tesla_k20
 from repro.sim.engine import Environment
 
 
@@ -44,9 +46,15 @@ class TestQueueFabric:
 
 class TestHardwareQueue:
     def test_chain_dependencies(self, env):
-        queue = HardwareQueue(env, 0)
-        c1 = MarkerCommand(env)
-        c2 = MarkerCommand(env)
-        assert queue.push(c1) is None
-        assert queue.push(c2) is c1.done
+        """On one queue, a command from another stream waits on the
+        queue's previous tail: the device chains through the queue."""
+        device = GPUDevice(env, spec=tesla_k20().with_hardware_queues(1))
+        kd = KernelDescriptor("k", Dim3(1), Dim3(32), block_duration=1e-6)
+        c1 = device.create_stream().enqueue_kernel(kd)
+        c2 = device.create_stream().enqueue_marker()
+        queue = device.fabric.queues[0]
+        assert queue._tail is c2.done
         assert queue.depth_total == 2
+        assert c1.ready.triggered and not c2.ready.triggered
+        env.run()
+        assert c2.ready.value == c1.done.value
