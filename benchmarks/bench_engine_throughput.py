@@ -9,13 +9,18 @@ rounds).  Run as a script, the module times each body five times, takes
 the least CPU time, and runs each body once more under ``cProfile``.  It
 appends two numbers per body to ``BENCH_engine.json`` at the repo root:
 simulated events per CPU second (``<body>.events_per_s``) and Python
-calls per simulated event (``<body>.calls_per_event``)::
+calls per simulated event (``<body>.calls_per_event``).  It then counts
+the cycle collector's work in each ``perfbench`` workload at seed 0:
+one warm-up execution, ``gc.collect()``, and one more execution whose
+collections per generation it records as
+``<workload>.gc_collections.gen0`` .. ``gen2``::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py
 
-The call count is deterministic for one interpreter version, so it
-resolves a change to the hot path far below the timing noise; compare
-it only between points measured on the same interpreter.
+The call and collection counts are deterministic for one interpreter
+version, so they resolve a change to the hot path, or to what it keeps
+alive, far below the timing noise; compare them only between points
+measured on the same interpreter.
 """
 
 from __future__ import annotations
@@ -25,18 +30,24 @@ import gc
 import json
 import pstats
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Tuple
 
-from repro.gpu.commands import CopyDirection
-from repro.gpu.device import GPUDevice
-from repro.gpu.kernels import Dim3, KernelDescriptor
-from repro.sim.engine import Environment
-from repro.sim.resources import Resource
-from repro.telemetry.trajectory import record_trajectory_point
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.append(str(ROOT))
 
-TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+from perfbench.workloads import WORKLOADS  # noqa: E402
+from repro.gpu.commands import CopyDirection  # noqa: E402
+from repro.gpu.device import GPUDevice  # noqa: E402
+from repro.gpu.kernels import Dim3, KernelDescriptor  # noqa: E402
+from repro.sim.engine import Environment  # noqa: E402
+from repro.sim.resources import Resource  # noqa: E402
+from repro.telemetry.trajectory import record_trajectory_point  # noqa: E402
+
+TRAJECTORY_PATH = ROOT / "BENCH_engine.json"
 #: Timed runs per body in script mode; the least CPU time counts.
 SCRIPT_REPEATS = 5
 
@@ -162,11 +173,29 @@ def calls_per_event(body: Body) -> float:
     return pstats.Stats(profiler).total_calls / env.events_processed
 
 
+def gc_collections(workload: str) -> Tuple[int, ...]:
+    """Cycle-collector runs per generation during one execution of the
+    ``perfbench`` ``workload`` at seed 0, after a warm-up execution on
+    the same inputs and a full collection."""
+    spec = WORKLOADS[workload]
+    with tempfile.TemporaryDirectory() as workdir:
+        prepared = spec.prepare(0, Path(workdir))
+        spec.execute(prepared)
+        gc.collect()
+        before = [gen["collections"] for gen in gc.get_stats()]
+        spec.execute(prepared)
+        after = [gen["collections"] for gen in gc.get_stats()]
+    return tuple(b - a for a, b in zip(before, after))
+
+
 def main() -> int:
     metrics = {}
     for name, body in BODIES.items():
         metrics[f"{name}.events_per_s"] = events_per_cpu_second(body)
         metrics[f"{name}.calls_per_event"] = calls_per_event(body)
+    for workload in WORKLOADS:
+        for gen, runs in enumerate(gc_collections(workload)):
+            metrics[f"{workload}.gc_collections.gen{gen}"] = runs
     record_trajectory_point(TRAJECTORY_PATH, "bench_engine_throughput", metrics)
     print(json.dumps(metrics, sort_keys=True))
     return 0

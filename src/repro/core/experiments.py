@@ -309,13 +309,13 @@ def fig5_oversubscription(
     env.run()
 
     # Completion order, as the profiler lists them.
-    commands.sort(key=lambda c: (c.done.value, c.started.value))
+    commands.sort(key=lambda c: (c.done.value, c.start_time))
     spans = [
         {
             "stream": f"stream-{c.stream_id}",
             "kernel": c.descriptor.name,
             "blocks": c.descriptor.num_blocks,
-            "start_us": c.started.value * 1e6,
+            "start_us": c.start_time * 1e6,
             "end_us": c.done.value * 1e6,
         }
         for c in commands
@@ -333,7 +333,7 @@ def fig5_oversubscription(
         total_requested_blocks=total_blocks,
         device_block_ceiling=spec.max_resident_blocks,
         max_kernel_concurrency=max_overlap(
-            (c.started.value, c.done.value) for c in commands
+            (c.start_time, c.done.value) for c in commands
         ),
         kernel_spans=spans,
         makespan=env.now,

@@ -34,7 +34,7 @@ from ..framework.kernel import (
     SyncPhase,
     TransferPhase,
 )
-from ..framework.metrics import AppRecord, KernelEvent, TransferEvent
+from ..framework.metrics import AppRecord, kernel_event, transfer_event
 from ..gpu.commands import CopyDirection
 from ..sim.events import AllOf
 from .checkpoint import AppCheckpoint
@@ -162,7 +162,7 @@ class FleetAppThread:
                 yield from self._run_phase(phase)
                 # Phase boundary: quiesce, surface faults, snapshot.
                 yield ctx.stream.synchronize_event()
-                self._check_faults()
+                ctx.check_faults()
                 self._harvest_counted()
                 ckpt.phase_index += 1
                 ckpt.copy_index = 0
@@ -171,7 +171,7 @@ class FleetAppThread:
                 self.on_checkpoint(self)
             # Final cudaStreamSynchronize (mirrors AppThread.run).
             yield ctx.stream.synchronize_event()
-            self._check_faults()
+            ctx.check_faults()
             self._harvest_counted()
             record.complete_time = env.now
         finally:
@@ -196,8 +196,8 @@ class FleetAppThread:
         reexec = 0
         for cmd in self.ctx.kernel_commands:
             if (
-                cmd.started.triggered
-                and cmd.started.value <= loss_time
+                cmd.start_time is not None
+                and cmd.start_time <= loss_time
                 and not getattr(cmd, "_fleet_counted", False)
             ):
                 reexec += 1
@@ -272,7 +272,7 @@ class FleetAppThread:
             ctx.note_transfer(cmd)
             ctx.drain_new_transfers()
             yield ctx.stream.synchronize_event()
-            self._check_faults()
+            ctx.check_faults()
 
     # -- phase execution ---------------------------------------------------
 
@@ -380,9 +380,9 @@ class FleetAppThread:
                 ideal = (cmd.waves or 1) * block_duration
                 if ideal > 0:
                     # _event is cmd.done itself; the prefix check above
-                    # proves both events triggered, so read the raw
-                    # slots instead of the guarded properties.
-                    observe((_event._value - cmd.started._value) / ideal)
+                    # proves it succeeded and the launch started, so
+                    # read the raw slot instead of the guarded property.
+                    observe((_event._value - cmd.start_time) / ideal)
 
         cmd.done.callbacks.append(note)
 
@@ -425,7 +425,7 @@ class FleetAppThread:
                 ckpt.restore_bytes += cmd.nbytes
             cmd._fleet_counted = True
             if observe is not None and wire > 0:
-                observe((_event._value - cmd.started._value) / wire)
+                observe((_event._value - cmd.start_time) / wire)
 
         cmd.done.callbacks.append(note)
 
@@ -440,16 +440,7 @@ class FleetAppThread:
 
         cmd.done.callbacks.append(note)
 
-    # -- fault surfacing / measurement -------------------------------------
-
-    def _check_faults(self) -> None:
-        """Raise the first recorded command failure of this attempt."""
-        for cmd in self.ctx.kernel_commands:
-            if cmd.done.triggered and not cmd.done.ok:
-                raise cmd.done.value
-        for cmd in self.ctx.memcpy_commands:
-            if cmd.done.triggered and not cmd.done.ok:
-                raise cmd.done.value
+    # -- measurement -------------------------------------------------------
 
     def _harvest_counted(self) -> None:
         """Move counted (completed-prefix) commands into metric events."""
@@ -460,30 +451,12 @@ class FleetAppThread:
             if not getattr(cmd, "_fleet_counted", False):
                 keep_copies.append(cmd)
                 continue
-            record.transfers.append(
-                TransferEvent(
-                    direction=cmd.direction,
-                    nbytes=cmd.nbytes,
-                    buffer=cmd.buffer,
-                    enqueued=cmd.enqueue_time,
-                    started=cmd.started.value,
-                    completed=cmd.done.value,
-                )
-            )
+            record.transfers.append(transfer_event(cmd))
         ctx.memcpy_commands[:] = keep_copies
         keep_kernels = []
         for cmd in ctx.kernel_commands:
             if not getattr(cmd, "_fleet_counted", False):
                 keep_kernels.append(cmd)
                 continue
-            record.kernels.append(
-                KernelEvent(
-                    name=cmd.descriptor.name,
-                    num_blocks=cmd.descriptor.num_blocks,
-                    enqueued=cmd.enqueue_time,
-                    started=cmd.started.value,
-                    completed=cmd.done.value,
-                    waves=cmd.waves,
-                )
-            )
+            record.kernels.append(kernel_event(cmd))
         ctx.kernel_commands[:] = keep_kernels

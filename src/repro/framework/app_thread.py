@@ -36,7 +36,7 @@ from .kernel import (
     SyncPhase,
     TransferPhase,
 )
-from .metrics import AppRecord, KernelEvent, TransferEvent
+from .metrics import AppRecord, kernel_event, transfer_event
 from .stream import Stream
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,6 +74,17 @@ class AppContext:
     def note_kernel(self, cmd: KernelLaunchCommand) -> None:
         """Record an enqueued kernel launch."""
         self.kernel_commands.append(cmd)
+
+    def check_faults(self) -> None:
+        """Raise the first recorded command failure: kernels first, then
+        copies, each in enqueue order (only :meth:`Event.fail` clears
+        ``_ok``)."""
+        for cmd in self.kernel_commands:
+            if not cmd.done._ok:
+                raise cmd.done._value
+        for cmd in self.memcpy_commands:
+            if not cmd.done._ok:
+                raise cmd.done._value
 
     def drain_new_transfers(self) -> List[MemcpyCommand]:
         """Commands enqueued since the last drain (and reset the list)."""
@@ -211,7 +222,7 @@ class AppThread:
             # A failed command that was not the stream tail completes the
             # sync successfully; surface it the way a CUDA error code
             # returned by cudaStreamSynchronize would be.
-            self._check_faults()
+            ctx.check_faults()
         finally:
             record.complete_time = env.now
             self._harvest()
@@ -231,16 +242,6 @@ class AppThread:
         ctx._new_transfers.clear()
         self.record.transfers.clear()
         self.record.kernels.clear()
-
-    def _check_faults(self) -> None:
-        """Raise the first recorded command failure of this attempt
-        (only :meth:`Event.fail` clears ``_ok``)."""
-        for cmd in self.ctx.kernel_commands:
-            if not cmd.done._ok:
-                raise cmd.done._value
-        for cmd in self.ctx.memcpy_commands:
-            if not cmd.done._ok:
-                raise cmd.done._value
 
     def _run_transfer_phase(self, phase: TransferPhase):
         """One transfer phase, with or without the paper's mutex."""
@@ -292,20 +293,13 @@ class AppThread:
             done = cmd.done
             if done._value is PENDING or not done._ok:
                 continue  # app failed mid-flight; keep only completed work
-            transfers.append(TransferEvent(
-                cmd.direction, cmd.nbytes, cmd.buffer, cmd.enqueue_time,
-                cmd.started._value, done._value,
-            ))
+            transfers.append(transfer_event(cmd))
         kernels = record.kernels
         for cmd in self.ctx.kernel_commands:
             done = cmd.done
             if done._value is PENDING or not done._ok:
                 continue
-            descriptor = cmd.descriptor
-            kernels.append(KernelEvent(
-                descriptor.name, descriptor.num_blocks, cmd.enqueue_time,
-                cmd.started._value, done._value, cmd.waves,
-            ))
+            kernels.append(kernel_event(cmd))
         if self.tracer is not None:
             self._harvest_spans()
 

@@ -12,7 +12,10 @@ sync on/off, device, copy policy); :meth:`TestHarness.run` executes it in a
 fresh simulation environment and returns a :class:`HarnessResult` with the
 per-application records, makespan and energy.  Its ``trace`` is the
 profiler timeline, derived from the records and the fault injector's marks
-(:func:`~repro.framework.metrics.record_timeline`).
+(:func:`~repro.framework.metrics.record_timeline`).  The energy is the
+difference of two snapshots of the power model's running integral, at
+the first spawn and at the last completion, so a cell keeps no power
+history.
 """
 
 from __future__ import annotations
@@ -216,6 +219,10 @@ class TestHarness:
             power_interval=cfg.power_interval,
         )
         device = stack.gpu
+        power = device.power
+        # The energy window is read as two running-integral snapshots, so
+        # the cell keeps no power history.
+        power.retain_segments = False
         manager = stack.manager
         synchronizer = stack.synchronizer
         monitor = stack.monitor
@@ -276,6 +283,8 @@ class TestHarness:
 
         #: launch_index -> root SpanContext for every traced app.
         trace_ctxs: Dict[int, object] = {}
+        #: Energy (J) at the first spawn and at the last completion.
+        window: List[float] = []
 
         def parent():
             # Paper flow: instantiate + allocate + initialize every
@@ -323,6 +332,8 @@ class TestHarness:
                 thread.assign_stream(stream)
                 thread.record.stream_index = stream.index
                 thread.record.spawn_time = env.now
+                if not window:
+                    window.append(power.energy())
                 if tracer is not None and env.now > thread._trace_ready_at:
                     # Spawn stagger: time between being prepared and the
                     # parent reaching this app in launch order.
@@ -356,6 +367,10 @@ class TestHarness:
                     )
             if children:
                 yield AllOf(env, children)
+            # Each child ends at the instant its record's final
+            # complete_time is set, so this is the makespan's end.  A
+            # same-instant power update does not move the integral there.
+            window.append(power.energy())
             monitor.stop()
             if telemetry is not None:
                 telemetry.stop()
@@ -396,9 +411,7 @@ class TestHarness:
                         ctx, record.complete_time, outcome=record.outcome
                     )
         span = makespan(records)
-        t0 = min(r.spawn_time for r in records)
-        t1 = max(r.complete_time for r in records)
-        energy = device.power.energy(t1) - device.power.energy(t0)
+        energy = window[1] - window[0]
         summary: Optional[ResilienceSummary] = None
         if resil is not None:
             summary = ResilienceSummary(
@@ -421,7 +434,7 @@ class TestHarness:
             total_time=env.now,
             energy=energy,
             average_power=energy / span if span > 0 else 0.0,
-            peak_power=device.power.peak_power,
+            peak_power=power.peak_power,
             sampled_average_power=monitor.average_power(),
             power_samples=[(s.time, s.watts) for s in monitor.samples],
             marks=injector.trace if injector is not None else TraceRecorder(),

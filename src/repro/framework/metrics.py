@@ -24,12 +24,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
-from ..gpu.commands import CopyDirection
+from ..gpu.commands import CopyDirection, KernelLaunchCommand, MemcpyCommand
 from ..sim.trace import Span, TraceRecorder
 
 __all__ = [
     "TransferEvent",
     "KernelEvent",
+    "transfer_event",
+    "kernel_event",
     "AppRecord",
     "record_timeline",
     "effective_latency",
@@ -76,6 +78,23 @@ class KernelEvent(NamedTuple):
     def execution_time(self) -> float:
         """First block placed -> last block retired."""
         return self.completed - self.started
+
+
+def transfer_event(cmd: MemcpyCommand) -> TransferEvent:
+    """The record of a memcpy whose ``done`` succeeded."""
+    return TransferEvent(
+        cmd.direction, cmd.nbytes, cmd.buffer, cmd.enqueue_time,
+        cmd.start_time, cmd.done._value,
+    )
+
+
+def kernel_event(cmd: KernelLaunchCommand) -> KernelEvent:
+    """The record of a kernel launch whose ``done`` succeeded."""
+    descriptor = cmd.descriptor
+    return KernelEvent(
+        descriptor.name, descriptor.num_blocks, cmd.enqueue_time,
+        cmd.start_time, cmd.done._value, cmd.waves,
+    )
 
 
 @dataclass

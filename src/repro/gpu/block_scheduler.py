@@ -315,7 +315,10 @@ class GridEngine:
                 self._executing += 1
                 if grid.to_place == kernel._num_blocks:
                     # First blocks of this launch.
-                    grid.cmd.started.stamp(now)
+                    cmd = grid.cmd
+                    cmd.start_time = now
+                    if cmd._started is not None:
+                        cmd._started.stamp(now)
                     executing += 1
             grid.to_place -= placed
             if not grid.to_place:

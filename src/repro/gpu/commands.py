@@ -3,25 +3,33 @@
 CUDA's execution model is: host threads *enqueue* commands (async memory
 copies, kernel launches, event records) onto streams; the device consumes
 them subject to (a) in-stream FIFO ordering and (b) hardware work-queue
-ordering (see :mod:`repro.gpu.hyperq`).  Each command here carries three
-events that model code and metrics hang off:
+ordering (see :mod:`repro.gpu.hyperq`).  Each command carries three
+times and one event that model code and metrics hang off:
 
-``ready``
+``enqueue_time``
+    The host put the command on its stream.
+``ready_time``
     All ordering dependencies satisfied; the command is eligible for its
     engine (DMA or grid).
-``started``
+``start_time``
     The engine began executing it (first byte on the wire / first thread
     block placed).
 ``done``
-    Fully complete (last byte / last thread block retired).
+    An event: fully complete (last byte / last thread block retired).
 
-``ready`` and ``started`` are set with :meth:`~repro.sim.events.Event.stamp`:
-nothing in the model waits on them, so they take no calendar entry unless
-a callback was registered before the trigger.  A kernel launch's ``done``
-can complete without a calendar entry too: the grid engine hands the
-finished launch to the device's settle method, which marks ``done``
-processed on the spot when the device's own retire callback is its only
-subscriber and no calendar event is due at or before now (see
+The times are plain floats, ``None`` until set.  Nothing in the model
+waits on readiness or on the start, so a command keeps no event for them.
+:attr:`Command.ready` and :attr:`Command.started` are views that build
+their :class:`~repro.sim.events.Event` on first access: processed, with
+the time as its value, once the time is set; else pending, and the
+engine stamps it (:meth:`~repro.sim.events.Event.stamp`) when it sets the
+time.  A view takes no calendar entry unless a callback was registered
+on it before the stamp, and then its subscriber runs at the event's
+calendar slot.  A kernel launch's ``done`` can complete without a
+calendar entry too: the grid engine hands the finished launch to the
+device's settle method, which marks ``done`` processed on the spot when
+the device's own retire callback is its only subscriber and no calendar
+event is due at or before now (see
 :meth:`repro.gpu.device.GPUDevice._settle`).  Anything that waits on
 ``done`` keeps it on the calendar, and copies and markers always take it.
 """
@@ -77,8 +85,11 @@ class Command:
         self.stream_id: Optional[int] = None
         self.queue_id: Optional[int] = None
         self.enqueue_time: Optional[float] = None
-        self.ready: Event = Event(env)
-        self.started: Event = Event(env)
+        self.ready_time: Optional[float] = None
+        self.start_time: Optional[float] = None
+        # The ``ready``/``started`` views, built on first access.
+        self._ready: Optional[Event] = None
+        self._started: Optional[Event] = None
         self.done: Event = Event(env)
 
     def __repr__(self) -> str:
@@ -88,9 +99,32 @@ class Command:
         )
 
     @property
+    def ready(self) -> Event:
+        """An event view of :attr:`ready_time`, built on first access."""
+        if self._ready is None:
+            self._ready = _time_view(self.env, self.ready_time)
+        return self._ready
+
+    @property
+    def started(self) -> Event:
+        """An event view of :attr:`start_time`, built on first access."""
+        if self._started is None:
+            self._started = _time_view(self.env, self.start_time)
+        return self._started
+
+    @property
     def label(self) -> str:
         """Short human-readable description used in traces."""
         return self.kind
+
+
+def _time_view(env: "Environment", time: Optional[float]) -> Event:
+    """An event processed with ``time`` as its value, or pending if the
+    time is not set yet (the engine stamps it when it sets the time)."""
+    event = Event(env)
+    if time is not None:
+        event.stamp(time)
+    return event
 
 
 class MemcpyCommand(Command):

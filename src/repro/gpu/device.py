@@ -291,7 +291,9 @@ class GPUDevice:
     def _dispatch(self, cmd: Command) -> None:
         """Route a dependency-free command to its engine."""
         now = self.env._now
-        cmd.ready.stamp(now)
+        cmd.ready_time = now
+        if cmd._ready is not None:
+            cmd._ready.stamp(now)
         self._inflight += 1
         sid = cmd.stream_id
         prev = self._stream_inflight.get(sid, 0)
@@ -309,7 +311,9 @@ class GPUDevice:
         elif isinstance(cmd, MemcpyCommand):
             self.dma[cmd.direction].submit(cmd)
         elif isinstance(cmd, MarkerCommand):
-            cmd.started.stamp(now)
+            cmd.start_time = now
+            if cmd._started is not None:
+                cmd._started.stamp(now)
             cmd.done.succeed(now)
         else:  # pragma: no cover - defensive
             raise TypeError(f"cannot dispatch {cmd!r}")

@@ -179,7 +179,9 @@ class CopyEngine:
                 if stretch != 1.0:
                     duration *= stretch
             start = env._now
-            cmd.started.stamp(start)
+            cmd.start_time = start
+            if cmd._started is not None:
+                cmd._started.stamp(start)
             self.busy = True
             if self.on_change is not None:
                 self.on_change()
@@ -189,8 +191,8 @@ class CopyEngine:
             self.commands_served += 1
             self.bytes_moved += cmd.nbytes
             self.busy_seconds += end - start
-            if cmd.ready.triggered and cmd.ready._value is not None:
-                self.wait_seconds += start - cmd.ready._value
+            if cmd.ready_time is not None:
+                self.wait_seconds += start - cmd.ready_time
             if self.on_change is not None:
                 self.on_change()
             cmd.done.succeed(end)

@@ -75,10 +75,14 @@ class PowerModel:
         self._last_change: float = env.now
         self._energy_before: float = 0.0  # J accumulated in closed segments
         self.peak_power: float = self._current_power
-        #: Keep the full segment history.  Long streamed runs flip this
-        #: off (bounded-memory mode): the running integral stays exact,
-        #: but retrospective ``energy(until<now)`` / ``segments()``
-        #: queries need the history and raise instead of silently lying.
+        #: Keep the full segment history.  The fleet keeps it: its
+        #: per-device energy windows end at the loss instant, in the
+        #: past.  A harness cell reads its window as two snapshots of
+        #: the running integral, and a bounded-memory serving run keeps
+        #: aggregates only, so both flip this off.  The running integral
+        #: stays exact, but retrospective ``energy(until<now)`` /
+        #: ``segments()`` queries need the history and raise instead of
+        #: silently lying.
         self.retain_segments: bool = True
 
     # -- formula -----------------------------------------------------------
@@ -170,7 +174,15 @@ class PowerModel:
         return self._current_power
 
     def energy(self, until: Optional[float] = None) -> float:
-        """Exact energy (J) consumed from t=0 to ``until`` (default: now)."""
+        """Exact energy (J) consumed from t=0 to ``until`` (default: now).
+
+        At or after the last power change this is the running integral,
+        which makes the same float additions, in the same order, as the
+        walk over the history for an earlier ``until``.  So a snapshot
+        taken at ``t`` equals ``energy(t)`` asked later, bit for bit; an
+        update at ``t`` itself moves neither.  Only an ``until`` before
+        the last change needs the history (:attr:`retain_segments`).
+        """
         t = self.env.now if until is None else until
         if t < self._last_change:
             if not self.retain_segments:

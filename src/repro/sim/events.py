@@ -133,16 +133,18 @@ class Event:
         """Trigger successfully with ``value``, skipping the calendar if
         nobody is subscribed.
 
-        Meant for record-keeping events that mostly carry a timestamp
-        (a command's ``ready``/``started``).  With no callback registered
-        the event is marked processed at once: no calendar entry, no
-        ``events_processed`` tick, and a process that yields it later
-        resumes immediately with ``value``.  If a callback was registered
-        before the stamp this falls back to :meth:`succeed`, so the
-        subscriber runs at the event's calendar slot, in order with the
-        other same-time events.  A processed event takes no new
-        callbacks, so use this only where nothing subscribes after the
-        trigger.
+        Meant for record-keeping events that mostly carry a timestamp:
+        a command's ``ready``/``started`` views, which the command builds
+        only on demand and which the GPU model stamps when it sets the
+        command's float time (see :mod:`repro.gpu.commands`).  With no
+        callback registered the event is marked processed at once: no
+        calendar entry, no ``events_processed`` tick, and a process that
+        yields it later resumes immediately with ``value``.  If a
+        callback was registered before the stamp this falls back to
+        :meth:`succeed`, so the subscriber runs at the event's calendar
+        slot, in order with the other same-time events.  A processed
+        event takes no new callbacks, so use this only where nothing
+        subscribes after the trigger.
         """
         if self._value is not PENDING:
             raise EventError(f"{self!r} has already been triggered")

@@ -3,8 +3,13 @@
 import pytest
 
 from repro.apps.registry import get_app
+from repro.core.workload import Workload
 from repro.framework.harness import HarnessConfig, HarnessResult, TestHarness
+from repro.gpu import device as device_module
 from repro.gpu.commands import CopyDirection
+from repro.gpu.power import PowerModel
+from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy
+from repro.resilience.faults import FaultKind, FaultSpec
 
 
 def small_apps(kind="nn", count=2, **kwargs):
@@ -188,3 +193,81 @@ class TestExecution:
         text = result.summary()
         assert "2 apps" in text
         assert "makespan" in text
+
+
+def na32_cell(memory_sync=False):
+    """The paper's NA=32 gaussian+needle cell, fully concurrent."""
+    apps = Workload.heterogeneous_pair(
+        "gaussian", "needle", 32, scale="tiny"
+    ).instantiate()
+    return HarnessConfig(apps=apps, num_streams=32, memory_sync=memory_sync)
+
+
+def hung_last_cell():
+    """The last app's first kernel hangs 1000x; its watchdog gives up on
+    it (one attempt) last of all four, while the kernel is still
+    resident, so power keeps changing after the makespan ends."""
+    apps = Workload.heterogeneous_pair(
+        "gaussian", "needle", 4, scale="tiny"
+    ).instantiate()
+    plan = FaultPlan([FaultSpec(
+        FaultKind.KERNEL_HANG, 0.0, target=apps[-1].app_id, factor=1000.0,
+    )])
+    return HarnessConfig(apps=apps, num_streams=4, resilience=ResilienceConfig(
+        plan=plan, retry=RetryPolicy(max_attempts=1), default_deadline=1e-3,
+    ))
+
+
+def run_keeping_power(monkeypatch, config, keep_history):
+    """Run ``config`` and return its result and its device's power model.
+    With ``keep_history`` the model keeps its segments whatever the
+    harness asks."""
+    models = []
+
+    class Recorded(PowerModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    class KeepsHistory(Recorded):
+        retain_segments = property(lambda self: True, lambda self, _v: None)
+
+    monkeypatch.setattr(
+        device_module, "PowerModel", KeepsHistory if keep_history else Recorded
+    )
+    result = TestHarness(config).run()
+    (power,) = models
+    return result, power
+
+
+class TestEnergyWindow:
+    """``HarnessResult.energy`` is read as two running-integral snapshots;
+    it must equal, bit for bit, the makespan window integrated from the
+    power history of the same cell."""
+
+    @pytest.mark.parametrize(
+        "cell",
+        [na32_cell, lambda: na32_cell(memory_sync=True), hung_last_cell],
+        ids=["na32", "na32-sync", "hung-last"],
+    )
+    def test_energy_equals_history_integral(self, monkeypatch, cell):
+        plain, power = run_keeping_power(monkeypatch, cell(), False)
+        kept, history = run_keeping_power(monkeypatch, cell(), True)
+        t0 = min(r.spawn_time for r in kept.records)
+        t1 = max(r.complete_time for r in kept.records)
+        expected = history.energy(t1) - history.energy(t0)
+        assert plain.energy == expected
+        assert kept.energy == expected
+        assert plain.records == kept.records
+        assert not power.retain_segments and power._segments == []
+        with pytest.raises(RuntimeError):
+            power.segments()
+
+    def test_hung_cell_changes_power_after_the_window(self, monkeypatch):
+        result, history = run_keeping_power(
+            monkeypatch, hung_last_cell(), True
+        )
+        last = max(result.records, key=lambda r: r.complete_time)
+        assert last.failed and last.app_id == "needle#1"
+        assert [r.failed for r in result.records].count(True) == 1
+        assert any(start > last.complete_time for start, _ in history.segments())

@@ -178,7 +178,7 @@ class TestPinnedOutputs:
     #: scheduling them would cost.
     EVENTS = 1609
 
-    def run_mixed(self):
+    def run_mixed(self, before_run=None):
         env = Environment()
         device = GPUDevice(env)
         k = KernelDescriptor(
@@ -191,6 +191,8 @@ class TestPinnedOutputs:
                 cmds.append(stream.enqueue_memcpy(CopyDirection.HTOD, 1 << 18))
                 cmds.append(stream.enqueue_kernel(k))
                 cmds.append(stream.enqueue_memcpy(CopyDirection.DTOH, 1 << 18))
+        if before_run is not None:
+            before_run(cmds)
         env.run()
         return env, device, cmds
 
@@ -206,6 +208,25 @@ class TestPinnedOutputs:
         env, device, cmds = self.run_mixed()
         assert len(cmds) == 600
         assert env.events_processed == self.EVENTS
+
+    def test_times_equal_views_stamped_during_the_run(self):
+        def take_views(cmds):
+            # Only each stream's head is dispatched at enqueue, and no
+            # command has started before the run.
+            ready = [c.ready.triggered for c in cmds]
+            assert ready.count(True) == 8
+            assert not any(c.started.triggered for c in cmds)
+
+        env, _device, cmds = self.run_mixed(take_views)
+        assert len(cmds) == 600
+        # Views nobody subscribed to are stamped with no calendar entry.
+        assert env.events_processed == self.EVENTS
+        for c in cmds:
+            assert c.ready.processed and c.started.processed
+            assert c.ready_time is not None and c.start_time is not None
+            assert (c.ready.value, c.started.value) == (
+                c.ready_time, c.start_time
+            )
 
     def test_power_matches_reference_formula(self):
         _env, device, _cmds = self.run_mixed()
